@@ -98,14 +98,10 @@ class LikelihoodContext:
         return self.trajectory.grid
 
 
-def _weighted_path(model: ModelSpec, states: np.ndarray):
-    return weighted_path(model, states)
-
-
 def build_Y(traj: Trajectory, model: ModelSpec) -> np.ndarray:
     """Observation transform Y with increments
     (1/eps) [F dX + 1/2 (grad F)(dX, dX)], F = sigma* A^-1; Y_0 = 0."""
-    f, df = _weighted_path(model, traj.states)
+    f, df = weighted_path(model, traj.states)
     return _assemble_Y(traj, f, df)
 
 
@@ -134,7 +130,7 @@ def build_context(traj: Trajectory, model: ModelSpec, hurst: HurstVector) -> Lik
     if len(hurst) != model.r:
         raise InputError(f"hurst has {len(hurst)} components, model drives {model.r}")
     plans = plans_for(hurst, traj.grid)
-    f, df = _weighted_path(model, traj.states)
+    f, df = weighted_path(model, traj.states)
     y = _assemble_Y(traj, f, df)
     z = build_Z(y, hurst, plans)
     return LikelihoodContext(
@@ -167,7 +163,7 @@ def compute_Q(
     theta = model.check_theta(theta)
     n1 = states.shape[0]
     if f_path is None:
-        f_path, _ = _weighted_path(model, states)
+        f_path, _ = weighted_path(model, states)
     b = eval_path(model, model.drift, states, (model.d,), theta)
     g = np.einsum("kia,ka->ki", f_path, b)
     dg = d2g = None
@@ -176,6 +172,11 @@ def compute_Q(
         dg = np.einsum("kia,kaj->kij", f_path, db)
     if order >= 2:
         d2b = eval_path(model, model.drift_dtheta[1], states, (model.d, model.m, model.m), theta)
+        if model.theta_linear and np.any(d2b):
+            raise InputError(
+                f"model {model.name!r} declares theta_linear, but its second "
+                "theta-derivative of the drift is nonzero on the path"
+            )
         d2g = np.einsum("kia,kajl->kijl", f_path, d2b)
 
     def transform(arr):
@@ -185,7 +186,11 @@ def compute_Q(
         for i in range(model.r):
             scale = 1.0 / (epsilon * fraccalc.d_H(hurst.h[i]))
             for c in range(flat.shape[2]):
-                res[:, i, c] = fraccalc.q_transform(plans[i], flat[:, i, c], scale)
+                # the transform is linear, so an exactly zero column (a
+                # theta-linear drift's second derivative, an uncoupled
+                # component) maps to zero and is skipped
+                if flat[:, i, c].any():
+                    res[:, i, c] = fraccalc.q_transform(plans[i], flat[:, i, c], scale)
         return out
 
     return QField(
@@ -268,20 +273,44 @@ def _projected_gradient(model: ModelSpec, theta, grad, tol=1e-12):
     return g
 
 
+def _likelihood_source(ctx: LikelihoodContext):
+    """(theta, order) -> (loglik, score, hessian) for the optimizer.
+
+    A theta-linear model's log-likelihood is exactly quadratic in theta,
+    so one order-2 evaluation at the centre a of the box gives it
+    everywhere: l(a) + g.(theta - a) + 1/2 (theta - a)' H (theta - a).
+    Other models get fresh evaluations at the requested order.
+    """
+    if not ctx.model.theta_linear:
+        return lambda theta, order: likelihood_parts(ctx, theta, order=order)
+    centre = ctx.model.theta_domain.mean(axis=1)
+    ll_c, grad_c, hess_c = likelihood_parts(ctx, centre, order=2)
+
+    def expansion(theta, order):
+        step = theta - centre
+        h_step = hess_c @ step
+        ll = ll_c + float(grad_c @ step) + 0.5 * float(step @ h_step)
+        return ll, grad_c + h_step, hess_c
+
+    return expansion
+
+
 def mle(
     ctx: LikelihoodContext,
     optimizer: OptimizerConfig = OptimizerConfig(),
     theta0=None,
 ) -> EstimateRecord:
     """Maximize the log-likelihood over the closed box by multi-start
-    projected Newton with a gradient-ascent fallback on non-concave steps."""
+    projected Newton with a gradient-ascent fallback on non-concave steps;
+    theta-linear models run it on the exact quadratic expansion."""
     model = ctx.model
+    parts = _likelihood_source(ctx)
     starts = _latin_hypercube_starts(model, optimizer.n_starts)
     best = None
     diagnostics = []
     for start in starts:
         theta = model.clamp_theta(np.asarray(start, dtype=float))
-        ll, grad, hess = likelihood_parts(ctx, theta, order=2)
+        ll, grad, hess = parts(theta, 2)
         converged = False
         iters = 0
         for iters in range(1, optimizer.max_iter + 1):
@@ -301,10 +330,10 @@ def mle(
                 cand = model.clamp_theta(theta + step * direction)
                 if np.allclose(cand, theta):
                     break
-                ll_new = log_likelihood(ctx, cand)
+                ll_new = parts(cand, 0)[0]
                 if ll_new > ll:
                     theta = cand
-                    ll, grad, hess = likelihood_parts(ctx, theta, order=2)
+                    ll, grad, hess = parts(theta, 2)
                     improved = True
                     break
                 step *= 0.5
@@ -369,7 +398,7 @@ def y_limit_field(model: ModelSpec, theta, theta0, hurst: HurstVector, ode: OdeP
     theta = model.check_theta(theta)
     theta0 = model.check_theta(theta0)
     plans = plans_for(hurst, ode.grid)
-    f, _ = _weighted_path(model, ode.states)
+    f, _ = weighted_path(model, ode.states)
     diff = eval_path(model, model.drift, ode.states, (model.d,), theta) - eval_path(
         model, model.drift, ode.states, (model.d,), theta0
     )
@@ -422,7 +451,7 @@ def verify_transfer_identity(
     if eps <= 0:
         raise InputError("transfer identity requires epsilon > 0")
     theta0 = np.asarray(traj.theta_used, dtype=float)
-    f, _ = _weighted_path(model, traj.states)
+    f, _ = weighted_path(model, traj.states)
     n1, d = traj.states.shape
     r = model.r
     bvals = eval_path(model, model.drift, traj.states, (d,), theta0)

@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import inspect
 import json
 import logging
+import multiprocessing
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -27,7 +29,7 @@ from numpy.random import Generator, Philox, SeedSequence
 from scipy import stats as sp_stats
 
 from . import __version__
-from .errors import FracmleError, InputError, StandardizationError
+from .errors import ConfigError, FracmleError, InputError, StandardizationError
 from .fbm import HurstVector, TimeGrid, lift, sample_fbm
 from .inference import (
     EstimateRecord,
@@ -37,6 +39,7 @@ from .inference import (
     gamma_matrix,
     likelihood_parts,
     mle,
+    plans_for,
 )
 from .model import ModelSpec, get_model
 from .rde import solve_ode, solve_rde, sup_distance
@@ -45,6 +48,12 @@ log = logging.getLogger(__name__)
 
 MAX_FAILED_FRACTION = 0.2
 EIGENVALUE_FLOOR = 1e-12
+
+# SciPy 1.17 asks for an explicit p-value method and warns without one;
+# older releases lack the keyword. The statistic does not depend on it.
+_ANDERSON_KW = (
+    {"method": "interpolate"} if "method" in inspect.signature(sp_stats.anderson).parameters else {}
+)
 
 
 @dataclass(frozen=True)
@@ -205,7 +214,10 @@ def _n_jobs(cfg: StudyConfig) -> int:
         return max(1, int(cfg.n_jobs))
     env = os.environ.get("FRACMLE_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ConfigError(f"FRACMLE_THREADS must be an integer, got {env!r}") from None
     return os.cpu_count() or 1
 
 
@@ -244,7 +256,9 @@ def normality_report(samples: np.ndarray, gamma: GammaMatrix) -> NormalityReport
     else:
         skew = np.array([float(sp_stats.skew(std[:, j])) for j in range(m)])
         kurt = np.array([float(sp_stats.kurtosis(std[:, j], fisher=True)) for j in range(m)])
-        ad = np.array([float(sp_stats.anderson(std[:, j], dist="norm").statistic) for j in range(m)])
+        ad = np.array(
+            [float(sp_stats.anderson(std[:, j], dist="norm", **_ANDERSON_KW).statistic) for j in range(m)]
+        )
     return NormalityReport(
         n=n,
         mean=mean,
@@ -329,35 +343,8 @@ def summarize_epsilon(
     )
 
 
-def run_study(cfg: StudyConfig) -> StudySummary:
-    """Run all replicates for every epsilon level and aggregate.
-
-    Replicates execute in parallel worker processes (FRACMLE_THREADS or
-    n_jobs; 1 runs inline); aggregation and file output happen in the
-    calling process only, after all replicates joined.
-    """
-    epsilons = tuple(dict.fromkeys(cfg.epsilons))
-    tasks = [(cfg, eps, rid) for eps in epsilons for rid in range(cfg.n_replicates)]
-    jobs = _n_jobs(cfg)
-    results = None
-    if jobs > 1 and len(tasks) > 1:
-        try:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                chunk = max(1, len(tasks) // (4 * jobs))
-                results = list(pool.map(_worker, tasks, chunksize=chunk))
-        except (OSError, PermissionError) as exc:  # sandboxed environments
-            log.warning("process pool unavailable (%s); running serially", exc)
-            results = None
-    if results is None:
-        results = [_worker(t) for t in tasks]
-
-    by_eps: dict = {eps: [] for eps in epsilons}
-    for res in results:
-        by_eps[res.epsilon].append(res)
-    for eps in epsilons:
-        by_eps[eps].sort(key=lambda res: res.replicate_id)
-
-    gamma = gamma_matrix(
+def _study_gamma(cfg: StudyConfig) -> GammaMatrix:
+    return gamma_matrix(
         cfg.model_spec(),
         np.asarray(cfg.theta0),
         cfg.hurst_vector(),
@@ -365,6 +352,45 @@ def run_study(cfg: StudyConfig) -> StudySummary:
         np.asarray(cfg.x0),
         refine=cfg.gamma_refine,
     )
+
+
+def run_study(cfg: StudyConfig) -> StudySummary:
+    """Run all replicates for every epsilon level and aggregate.
+
+    Replicates execute in parallel worker processes (FRACMLE_THREADS or
+    n_jobs; 1 runs inline) while the calling process computes Gamma;
+    aggregation and file output happen in the calling process only, after
+    all replicates joined.
+    """
+    epsilons = tuple(dict.fromkeys(cfg.epsilons))
+    tasks = [(cfg, eps, rid) for eps in epsilons for rid in range(cfg.n_replicates)]
+    jobs = _n_jobs(cfg)
+    results = gamma = None
+    if jobs > 1 and len(tasks) > 1:
+        if multiprocessing.get_start_method() == "fork":
+            # forked workers inherit the parent's plan cache instead of
+            # each building the replicate-grid kernel again
+            plans_for(cfg.hurst_vector(), TimeGrid(cfg.T, cfg.n_coarse, 0))
+        try:
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
+                chunk = max(1, len(tasks) // (4 * jobs))
+                pending = pool.map(_worker, tasks, chunksize=chunk)
+                gamma = _study_gamma(cfg)
+                results = list(pending)
+        except (OSError, PermissionError) as exc:  # sandboxed environments
+            log.warning("process pool unavailable (%s); running serially", exc)
+            results = None
+    if results is None:
+        results = [_worker(t) for t in tasks]
+    if gamma is None:
+        gamma = _study_gamma(cfg)
+
+    by_eps: dict = {eps: [] for eps in epsilons}
+    for res in results:
+        by_eps[res.epsilon].append(res)
+    for eps in epsilons:
+        by_eps[eps].sort(key=lambda res: res.replicate_id)
+
     if gamma.a5_ok:
         gamma_inv = np.linalg.inv(gamma.matrix)
     else:

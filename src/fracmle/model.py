@@ -8,6 +8,14 @@ axes, diffusion(x) -> (d, r), diffusion_dx -> (d, r, d), diffusion_dxx
 callback also accepts a stacked x of shape (n, d) and returns the
 corresponding (n, ...) stack; the pipeline then evaluates whole paths in
 one call.
+
+A model whose drift is affine in theta, b(x, theta) = b0(x) + B(x) theta,
+may declare theta_linear=True. Its log-likelihood is then exactly
+quadratic in theta, so the estimator expands it once at the centre of the
+parameter box and optimizes on that expansion instead of re-evaluating
+the likelihood. The declaration is checked on every path the expansion is
+built from: if drift_dtheta[1] is not exactly zero there, the estimator
+raises InputError.
 """
 
 from __future__ import annotations
@@ -37,6 +45,7 @@ class ModelSpec:
     diffusion_dx: Callable
     diffusion_dxx: Callable
     vectorized: bool = False
+    theta_linear: bool = False  # drift affine in theta; see module docstring
 
     def __post_init__(self):
         dom = np.asarray(self.theta_domain, dtype=float).reshape(self.m, 2)
@@ -368,6 +377,7 @@ def _linear1d() -> ModelSpec:
         diffusion_dx=lambda x: _batched(x, (1, 1, 1), np.zeros((1, 1, 1))),
         diffusion_dxx=lambda x: _batched(x, (1, 1, 1, 1), np.zeros((1, 1, 1, 1))),
         vectorized=True,
+        theta_linear=True,
     )
 
 
@@ -424,6 +434,7 @@ def _cross2d() -> ModelSpec:
         diffusion_dx=diffusion_dx,
         diffusion_dxx=diffusion_dxx,
         vectorized=True,
+        theta_linear=True,
     )
 
 
@@ -447,6 +458,7 @@ def _const1d() -> ModelSpec:
         diffusion_dx=lambda x: _batched(x, (1, 1, 1), np.zeros((1, 1, 1))),
         diffusion_dxx=lambda x: _batched(x, (1, 1, 1, 1), np.zeros((1, 1, 1, 1))),
         vectorized=True,
+        theta_linear=True,
     )
 
 
@@ -465,6 +477,7 @@ def _zero1d() -> ModelSpec:
         diffusion_dx=lambda x: _batched(x, (1, 1, 1), np.zeros((1, 1, 1))),
         diffusion_dxx=lambda x: _batched(x, (1, 1, 1, 1), np.zeros((1, 1, 1, 1))),
         vectorized=True,
+        theta_linear=True,
     )
 
 

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -6,9 +7,9 @@ import numpy as np
 import pytest
 
 
-def run_cli(*args):
+def run_cli(*args, env=None):
     return subprocess.run(
-        [sys.executable, "-m", "fracmle", *args], capture_output=True, text=True
+        [sys.executable, "-m", "fracmle", *args], capture_output=True, text=True, env=env
     )
 
 
@@ -237,6 +238,21 @@ def test_mc_requires_seed(tmp_path):
     res = run_cli("mc", "--config", str(cfg))
     assert res.returncode == 2
     assert "seed" in res.stderr
+
+
+def test_mc_bad_thread_count_is_validation_error(tmp_path):
+    doc = {
+        "model": {"name": "linear1d", "theta0": [1.0], "x0": [1.0]},
+        "grid": {"T": 1.0, "n_coarse": 64},
+        "hurst": 0.4,
+        "study": {"epsilons": [0.1], "n_replicates": 4},
+        "seed": 99,
+    }
+    cfg = _write(tmp_path, doc)
+    res = run_cli("mc", "--config", str(cfg), env=dict(os.environ, FRACMLE_THREADS="abc"))
+    assert res.returncode == 2
+    assert "FRACMLE_THREADS" in res.stderr
+    assert "Traceback" not in res.stderr
 
 
 def test_missing_config_file():

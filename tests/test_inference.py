@@ -1,11 +1,18 @@
+import dataclasses
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import cumulative_trapezoid
 from scipy.special import gamma as G
 
 from fracmle import (
     EllipticityError,
     HurstVector,
+    InputError,
+    ModelSpec,
     TimeGrid,
     build_context,
     build_Y,
@@ -26,7 +33,9 @@ from fracmle import (
     verify_transfer_identity,
     y_limit_field,
 )
-from fracmle.inference import plans_for
+from fracmle import inference
+from fracmle.inference import _latin_hypercube_starts, plans_for
+from fracmle.model import _zeros_theta_derivs
 
 from conftest import sampled_lift, trapezoid_weights
 
@@ -308,6 +317,118 @@ def test_mle_u_field():
     rec2 = mle(ctx)
     assert rec2.u is None
     assert rec2.theta_hat == rec.theta_hat
+
+
+# ------------------------------------------- mle on the quadratic expansion
+
+# (hurst, theta0, x0, n_coarse, refine_level) per theta-linear model
+_QUAD_CASES = {
+    "linear1d": (H04, (1.0,), (1.0,), 128, 0),
+    "const1d": (H04, (0.7,), (0.0,), 128, 0),
+    "cross2d": (HurstVector((0.4, 0.45)), (1.0, 2.0), (1.0, 1.0), 64, 2),
+}
+
+
+@lru_cache(maxsize=None)
+def _quad_ctx(name, seed, eps):
+    hv, th0, x0, n, level = _QUAD_CASES[name]
+    model = get_model(name)
+    grid = TimeGrid(1.0, n, level)
+    traj = solve_rde(model, th0, eps, sampled_lift(hv, grid, (79, seed)), x0)
+    return build_context(traj, model, hv)
+
+
+@st.composite
+def _narrowed_boxes(draw, name):
+    """The model's box, or a sub-box that may exclude the estimate."""
+    box = get_model(name).theta_domain
+    if draw(st.booleans()):
+        return box
+    out = []
+    for lo, hi in box:
+        a = draw(st.floats(lo, hi - 0.05))
+        b = draw(st.floats(a + 0.05, hi))
+        out.append((a, b))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("name", sorted(_QUAD_CASES))
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_mle_quadratic_expansion_matches_fresh_evaluations(name, data):
+    seed = data.draw(st.integers(0, 5))
+    eps = data.draw(st.sampled_from((0.05, 0.2, 0.6)))
+    box = data.draw(_narrowed_boxes(name))
+    ctx = _quad_ctx(name, seed, eps)
+    model = ctx.model.with_domain(box)
+    assert model.theta_linear
+    fast = mle(dataclasses.replace(ctx, model=model))
+    oracle_model = dataclasses.replace(model, theta_linear=False)
+    oracle = mle(dataclasses.replace(ctx, model=oracle_model))
+    assert np.max(np.abs(np.subtract(fast.theta_hat, oracle.theta_hat))) <= 1e-10
+    assert fast.boundary_flag == oracle.boundary_flag
+    assert fast.iterations == oracle.iterations
+    assert fast.loglik == pytest.approx(oracle.loglik, rel=1e-10, abs=1e-10)
+
+
+def test_mle_theta_linear_one_likelihood_evaluation(monkeypatch):
+    ctx = _quad_ctx("cross2d", 0, 0.1)
+    real = inference.likelihood_parts
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("order"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(inference, "likelihood_parts", counted)
+    mle(ctx)
+    assert calls == [2]
+    calls.clear()
+    mle(dataclasses.replace(ctx, model=dataclasses.replace(ctx.model, theta_linear=False)))
+    assert len(calls) > 1
+
+
+def test_mle_false_theta_linear_declaration_rejected():
+    # b = -theta^2 x is not affine in theta; its second derivative -2x is
+    # nonzero wherever x is
+    def dth1(x, th):
+        return -2.0 * th[0] * np.asarray(x, dtype=float)[..., :, None]
+
+    def dth2(x, th):
+        return -2.0 * np.asarray(x, dtype=float)[..., :, None, None]
+
+    quad = ModelSpec(
+        name="squared-rate",
+        d=1,
+        r=1,
+        m=1,
+        theta_domain=[[0.1, 3.0]],
+        drift=lambda x, th: -th[0] ** 2 * np.asarray(x, dtype=float),
+        drift_dx=lambda x, th: np.full(np.shape(x) + (1,), -th[0] ** 2),
+        drift_dtheta=(dth1, dth2) + _zeros_theta_derivs(1, 1, 3),
+        diffusion=LIN.diffusion,
+        diffusion_dx=LIN.diffusion_dx,
+        diffusion_dxx=LIN.diffusion_dxx,
+        vectorized=True,
+        theta_linear=True,
+    )
+    ctx, _ = _linear_ctx(80, n=128)
+    with pytest.raises(InputError, match="theta_linear"):
+        mle(dataclasses.replace(ctx, model=quad))
+    honest = dataclasses.replace(quad, theta_linear=False)
+    assert mle(dataclasses.replace(ctx, model=honest)).converged
+
+
+def test_mle_zero1d_converges_at_first_start():
+    # H == 0 and grad == 0: the first start is already stationary
+    model = get_model("zero1d")
+    grid = TimeGrid(1.0, 128, 0)
+    traj = solve_rde(model, [1.0], 0.2, sampled_lift(H04, grid, 81), [0.5])
+    rec = mle(build_context(traj, model, H04))
+    assert rec.converged
+    assert rec.iterations == 1
+    assert rec.theta_hat == tuple(_latin_hypercube_starts(model, 5)[0])
+    assert rec.loglik == 0.0
 
 
 # ---------------------------------------------------------------- gamma

@@ -1,7 +1,10 @@
 import json
+import multiprocessing
+import warnings
 
 import numpy as np
 import pytest
+from scipy import stats as sp_stats
 
 from fracmle import (
     GammaMatrix,
@@ -12,6 +15,7 @@ from fracmle import (
     TimeGrid,
     gamma_matrix,
     get_model,
+    get_plan,
     normality_report,
     run_replicate,
     run_study,
@@ -88,6 +92,44 @@ def test_study_parallel_matches_serial(tmp_path):
     assert a == b
 
 
+def test_study_gamma_same_serial_and_pooled(tmp_path):
+    run_study(_small_cfg(tmp_path / "serial", n_replicates=6, n_jobs=1))
+    run_study(_small_cfg(tmp_path / "par", n_replicates=6, n_jobs=2))
+    a = json.loads((tmp_path / "serial" / "manifest.json").read_text())
+    b = json.loads((tmp_path / "par" / "manifest.json").read_text())
+    assert a["gamma"] == b["gamma"]
+    assert a["gamma_inv"] == b["gamma_inv"]
+
+
+def test_study_pool_unavailable_runs_serially(tmp_path, monkeypatch):
+    import fracmle.mcstudy as mc
+
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            raise OSError("process creation refused")
+
+    monkeypatch.setattr(mc, "ProcessPoolExecutor", NoPool)
+    fallback = run_study(_small_cfg(tmp_path / "fallback", n_replicates=6, n_jobs=2))
+    serial = run_study(_small_cfg(tmp_path / "serial", n_replicates=6, n_jobs=1))
+    assert np.array_equal(fallback.gamma.matrix, serial.gamma.matrix)
+    a = (tmp_path / "fallback" / "records.jsonl").read_bytes()
+    b = (tmp_path / "serial" / "records.jsonl").read_bytes()
+    assert a == b
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork", reason="plans are inherited only by fork"
+)
+def test_study_fills_replicate_plan_before_forking():
+    # gamma_refine 2 puts Gamma on another grid, so only the prefill can
+    # leave the replicate-grid plan in the parent's cache
+    get_plan.cache_clear()
+    run_study(_small_cfg(n_replicates=4, n_jobs=2, n_coarse=96, gamma_refine=2))
+    hits = get_plan.cache_info().hits
+    get_plan(0.4, 1.0, 96)
+    assert get_plan.cache_info().hits == hits + 1
+
+
 def test_study_duplicate_epsilons_idempotent():
     cfg1 = _small_cfg(epsilons=(0.1,), n_replicates=12)
     cfg2 = _small_cfg(epsilons=(0.1, 0.1), n_replicates=12)
@@ -137,6 +179,23 @@ def test_normality_report_self_test():
     assert abs(rep.skewness[0]) <= 0.35
     assert abs(rep.excess_kurtosis[0]) <= 0.7
     assert not rep.degenerate
+
+
+def test_normality_report_anderson_without_future_warning():
+    rng = np.random.default_rng(11)
+    matrix = np.array([[2.0, 0.3], [0.3, 1.0]])
+    gamma = GammaMatrix(
+        matrix=matrix, hurst=None, theta0=(1.0, 2.0), min_eigenvalue=0.9, a5_ok=True
+    )
+    samples = rng.standard_normal((60, 2)) @ symmetric_sqrt(np.linalg.inv(matrix))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", FutureWarning)
+        rep = normality_report(samples, gamma)
+    std = samples @ symmetric_sqrt(matrix)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        expect = [float(sp_stats.anderson(std[:, j], dist="norm").statistic) for j in range(2)]
+    assert rep.anderson_darling.tolist() == expect
 
 
 def test_normality_report_constant_samples_degenerate():
