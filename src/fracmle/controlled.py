@@ -15,7 +15,7 @@ import numpy as np
 from scipy.stats import linregress
 
 from .errors import InputError
-from .fbm import RoughPath
+from .fbm import RoughPath, _gap_list
 
 REMAINDER_ALL_PAIRS_LIMIT = 1024
 
@@ -84,23 +84,15 @@ def controlled_compose(phi, phi_dx, x: ControlledPath) -> ControlledPath:
 def remainder_seminorm(z: ControlledPath, two_alpha: float) -> float:
     """2-alpha seminorm of R_{s,t} = Z_{s,t} - Z'_s B_{s,t} over coarse-node pairs.
 
-    All pairs up to REMAINDER_ALL_PAIRS_LIMIT nodes, dyadic gaps beyond.
+    All pairs up to REMAINDER_ALL_PAIRS_LIMIT nodes, dyadic gaps and the
+    full span beyond.
     """
     rp = z.driver
     nodes = rp.grid.coarse_nodes()
     cb = rp.coarse_values()
-    n = rp.grid.n_coarse
-    if n <= REMAINDER_ALL_PAIRS_LIMIT:
-        gaps = range(1, n + 1)
-    else:
-        gaps = []
-        g = 1
-        while g <= n:
-            gaps.append(g)
-            g *= 2
     best = 0.0
     flat_axes = tuple(range(1, z.values.ndim))
-    for gap in gaps:
+    for gap in _gap_list(rp.grid.n_coarse, REMAINDER_ALL_PAIRS_LIMIT):
         dz = z.values[gap:] - z.values[:-gap]
         dbv = cb[gap:] - cb[:-gap]
         lin = np.einsum("k...j,kj->k...", z.gubinelli[:-gap], dbv)

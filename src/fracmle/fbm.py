@@ -1,11 +1,13 @@
 """Exact multi-component fractional Brownian motion and its second-order lift.
 
 Sampling uses circulant embedding (Davies-Harte), which reproduces the
-fBm covariance 0.5*(t^2H + s^2H - |t-s|^2H) exactly on the grid; a dense
-Cholesky factorization is the fallback when the embedding is not PSD.
-The lift stores per-fine-step increments and areas only; values on wider
-intervals are reconstructed through Chen's relation, which makes the
-Chen identity hold by construction up to float rounding.
+fBm covariance 0.5*(t^2H + s^2H - |t-s|^2H) exactly on the grid. For
+H <= 1/2 the embedding of fractional Gaussian noise is positive
+semidefinite for every n (Dietrich & Newsam 1997; Craigmile 2003), so
+there is no fallback sampler. The lift stores per-fine-step increments
+and areas only; values on wider intervals are reconstructed through
+Chen's relation, which makes the Chen identity hold by construction up
+to float rounding.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from .errors import InputError, ResourceError
 log = logging.getLogger(__name__)
 
 MAX_FINE_STEPS = 1 << 24
-MAX_CHOLESKY_STEPS = 1 << 13
 # all-pairs Hoelder seminorms are O(N^2); beyond this many nodes only
 # dyadic gaps are scanned
 ALL_PAIRS_LIMIT = 4096
@@ -184,25 +185,20 @@ class RoughPath:
                 out[b, a] = -full[a, b] + tot[a] * tot[b]
         return out
 
-    def area_t(self, s: float, t: float) -> np.ndarray:
-        return self.area(self.grid.fine_index(s), self.grid.fine_index(t))
-
-    def increment_t(self, s: float, t: float) -> np.ndarray:
-        return self.increment(self.grid.fine_index(s), self.grid.fine_index(t))
-
 
 def _fgn_circulant(n: int, hurst: float, rng: Generator) -> np.ndarray:
     """Unit-spacing fractional Gaussian noise by circulant embedding.
 
-    Returns None when the embedding has a materially negative eigenvalue
-    (cannot happen for H <= 1/2, kept as a guarded fallback trigger).
+    The embedding is positive semidefinite for H <= 1/2, so its spectrum
+    is only clipped at rounding level; a materially negative eigenvalue
+    would mean a broken spectrum and raises ResourceError.
     """
     k = np.arange(n, dtype=float)
     rho = 0.5 * ((k + 1) ** (2 * hurst) + np.abs(k - 1) ** (2 * hurst) - 2 * k ** (2 * hurst))
     c = np.concatenate([rho, [0.0], rho[:0:-1]])
     g = np.fft.fft(c).real
     if g.min() < -1e-10 * max(g.max(), 1.0):
-        return None
+        raise ResourceError(f"circulant embedding not PSD for H={hurst}, n={n}")
     g = np.clip(g, 0.0, None)
     z = np.empty(2 * n, dtype=complex)
     z[0] = rng.standard_normal()
@@ -211,17 +207,6 @@ def _fgn_circulant(n: int, hurst: float, rng: Generator) -> np.ndarray:
     z[1:n] = (v[:, 0] + 1j * v[:, 1]) / math.sqrt(2.0)
     z[n + 1 :] = np.conj(z[1:n][::-1])
     return math.sqrt(2 * n) * np.fft.ifft(np.sqrt(g) * z).real[:n]
-
-
-def _fgn_cholesky(n: int, hurst: float, rng: Generator) -> np.ndarray:
-    """Dense-Cholesky fallback sampler (exact, O(n^2) memory)."""
-    if n > MAX_CHOLESKY_STEPS:
-        raise ResourceError(f"Cholesky fallback limited to {MAX_CHOLESKY_STEPS} steps, got {n}")
-    k = np.arange(n, dtype=float)
-    rho = 0.5 * ((k + 1) ** (2 * hurst) + np.abs(k - 1) ** (2 * hurst) - 2 * k ** (2 * hurst))
-    cov = rho[np.abs(k[:, None] - k[None, :]).astype(int)]
-    chol = np.linalg.cholesky(cov + 1e-14 * np.eye(n))
-    return chol @ rng.standard_normal(n)
 
 
 def sample_fbm(hurst: HurstVector, grid: TimeGrid, seed) -> np.ndarray:
@@ -244,13 +229,24 @@ def sample_fbm(hurst: HurstVector, grid: TimeGrid, seed) -> np.ndarray:
             fgn = rng.standard_normal(n)
         else:
             fgn = _fgn_circulant(n, h, rng)
-            if fgn is None:
-                log.warning(
-                    "circulant embedding not PSD for H=%s, n=%s; falling back to Cholesky", h, n
-                )
-                fgn = _fgn_cholesky(n, h, rng)
         path[1:, i] = np.cumsum(fgn) * scale**h
     return path
+
+
+def complete_area(cross: np.ndarray, inc: np.ndarray) -> np.ndarray:
+    """Second-level areas (..., r, r) from cross sums (..., r, r) and increments (..., r).
+
+    The diagonal is 0.5*inc^2, the upper triangle is cross as given, and
+    the lower triangle is the antisymmetric completion -cross_ab + inc_a*inc_b.
+    """
+    r = inc.shape[-1]
+    out = np.empty(inc.shape + (r,))
+    for a in range(r):
+        out[..., a, a] = 0.5 * inc[..., a] ** 2
+        for b in range(a + 1, r):
+            out[..., a, b] = cross[..., a, b]
+            out[..., b, a] = -cross[..., a, b] + inc[..., a] * inc[..., b]
+    return out
 
 
 def lift(path: np.ndarray, grid: TimeGrid) -> RoughPath:
@@ -272,11 +268,7 @@ def lift(path: np.ndarray, grid: TimeGrid) -> RoughPath:
         log.warning("refine_level=0 with r>=2: per-step areas use a single-term sum")
 
     db = np.diff(path, axis=0)
-    areas = np.zeros((n, r, r))
-    for a in range(r):
-        areas[:, a, a] = 0.5 * db[:, a] ** 2
-        for b in range(a + 1, r):
-            areas[:, b, a] = db[:, a] * db[:, b]
+    areas = complete_area(np.zeros((n, r, r)), db)
 
     m = grid.substeps
     nc = grid.n_coarse
@@ -284,13 +276,7 @@ def lift(path: np.ndarray, grid: TimeGrid) -> RoughPath:
     cdb = blocks.sum(axis=1)
     rel = np.cumsum(blocks, axis=1)
     rel = np.concatenate([np.zeros((nc, 1, r)), rel[:, :-1, :]], axis=1)
-    cross = np.einsum("nka,nkb->nab", rel, blocks)
-    careas = np.empty((nc, r, r))
-    for a in range(r):
-        careas[:, a, a] = 0.5 * cdb[:, a] ** 2
-        for b in range(a + 1, r):
-            careas[:, a, b] = cross[:, a, b]
-            careas[:, b, a] = -cross[:, a, b] + cdb[:, a] * cdb[:, b]
+    careas = complete_area(np.einsum("nka,nkb->nab", rel, blocks), cdb)
 
     for arr in (path, db, areas, cdb, careas):
         arr.setflags(write=False)
@@ -317,8 +303,9 @@ def chen_defect(rp: RoughPath, s: float, u: float, t: float) -> np.ndarray:
     )
 
 
-def _gap_list(n: int) -> np.ndarray:
-    if n <= ALL_PAIRS_LIMIT:
+def _gap_list(n: int, limit: int = ALL_PAIRS_LIMIT) -> np.ndarray:
+    """Node gaps to scan: all of 1..n up to limit, else the powers of two and n."""
+    if n <= limit:
         return np.arange(1, n + 1)
     gaps = []
     g = 1
@@ -385,14 +372,10 @@ def dump_driver_csv(rp: RoughPath, path_file, area_file=None) -> None:
     data = np.column_stack([rp.grid.fine_nodes(), rp.values])
     np.savetxt(path_file, data, delimiter=",", header=header, comments="")
     if area_file is not None:
-        rows = []
-        for k in range(rp.grid.n_fine):
-            for i in range(r):
-                for j in range(r):
-                    rows.append((k, i + 1, j + 1, rp.areas[k, i, j]))
+        k, i, j = np.indices(rp.areas.shape).reshape(3, -1)
         np.savetxt(
             area_file,
-            np.array(rows),
+            np.column_stack([k, i + 1, j + 1, rp.areas.ravel()]),
             delimiter=",",
             header="k,i,j,area",
             comments="",

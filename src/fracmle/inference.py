@@ -24,7 +24,7 @@ from scipy.integrate import cumulative_trapezoid
 
 from . import fraccalc
 from .errors import InputError, OptimizationError
-from .fbm import HurstVector, RoughPath, TimeGrid
+from .fbm import HurstVector, RoughPath, TimeGrid, complete_area
 from .model import ModelSpec, eval_path, weighted_path
 from .rde import OdePath, Trajectory, solve_ode
 
@@ -395,21 +395,13 @@ def gamma_matrix(
 def y_limit_field(model: ModelSpec, theta, theta0, hurst: HurstVector, ode: OdePath) -> float:
     """Deterministic likelihood-contrast limit; 0 at theta = theta0 and
     negative wherever the drift difference is visible through the kernel."""
-    theta = model.check_theta(theta)
-    theta0 = model.check_theta(theta0)
     plans = plans_for(hurst, ode.grid)
     f, _ = weighted_path(model, ode.states)
-    diff = eval_path(model, model.drift, ode.states, (model.d,), theta) - eval_path(
-        model, model.drift, ode.states, (model.d,), theta0
+    qd = (
+        compute_Q(ode.states, model, theta, 1.0, hurst, plans, f_path=f).values
+        - compute_Q(ode.states, model, theta0, 1.0, hurst, plans, f_path=f).values
     )
-    g = np.einsum("kia,ka->ki", f, diff)
-    w = _trapezoid_weights(ode.grid)
-    total = 0.0
-    for i in range(model.r):
-        scale = 1.0 / fraccalc.d_H(hurst.h[i])
-        qd = fraccalc.q_transform(plans[i], g[:, i], scale)
-        total += float(np.sum(qd * qd * w))
-    return -0.5 * total
+    return -0.5 * float(np.einsum("ki,ki,k->", qd, qd, _trapezoid_weights(ode.grid)))
 
 
 def identifiability_scan(
@@ -451,26 +443,18 @@ def verify_transfer_identity(
     if eps <= 0:
         raise InputError("transfer identity requires epsilon > 0")
     theta0 = np.asarray(traj.theta_used, dtype=float)
-    f, _ = weighted_path(model, traj.states)
-    n1, d = traj.states.shape
-    r = model.r
-    bvals = eval_path(model, model.drift, traj.states, (d,), theta0)
-    fb = np.einsum("kia,ka->ki", f, bvals)
+    states = traj.states
+    d, r = model.d, model.r
+    f, _ = weighted_path(model, states)
+    fb = np.einsum("kia,ka->ki", f, eval_path(model, model.drift, states, (d,), theta0))
     nodes = traj.grid.coarse_nodes()
-    bc = rp.coarse_values()
-    y = cumulative_trapezoid(fb, nodes, axis=0, initial=0.0) / eps + bc
+    y = cumulative_trapezoid(fb, nodes, axis=0, initial=0.0) / eps + rp.coarse_values()
     dy = np.diff(y, axis=0)
-    total = np.zeros(d)
-    for k in range(n1 - 1):
-        sig = np.asarray(model.diffusion(traj.states[k]), dtype=float).reshape(d, r)
-        dsig = np.asarray(model.diffusion_dx(traj.states[k]), dtype=float).reshape(d, r, d)
-        g = np.einsum("aic,cj->aij", dsig, sig)
-        area = np.empty((r, r))
-        for a in range(r):
-            area[a, a] = 0.5 * dy[k, a] ** 2
-            for b in range(a + 1, r):
-                area[a, b] = rp.coarse_areas[k, a, b]
-                area[b, a] = -area[a, b] + dy[k, a] * dy[k, b]
-        total = total + sig @ dy[k] + eps * np.einsum("aij,ji->a", g, area)
-    residual = eps * total - (traj.states[-1] - traj.states[0])
+    sig = eval_path(model, model.diffusion, states[:-1], (d, r))
+    dsig = eval_path(model, model.diffusion_dx, states[:-1], (d, r, d))
+    area = complete_area(rp.coarse_areas, dy)
+    total = np.einsum("kai,ki->a", sig, dy) + eps * np.einsum(
+        "kaic,kcj,kji->a", dsig, sig, area
+    )
+    residual = eps * total - (states[-1] - states[0])
     return float(np.linalg.norm(residual))

@@ -230,6 +230,18 @@ def symmetric_sqrt(matrix: np.ndarray) -> np.ndarray:
     return (vecs * np.sqrt(vals)) @ vecs.T
 
 
+def _moments(samples: np.ndarray, gamma_inv: np.ndarray) -> tuple:
+    """(mean, cov, cov_rel, degenerate) of (n, m) samples; cov_rel is the
+    relative Frobenius distance of the sample covariance to gamma_inv."""
+    m = samples.shape[1]
+    mean = samples.mean(axis=0)
+    cov = np.cov(samples, rowvar=False, ddof=1).reshape(m, m)
+    cov_rel = float(np.linalg.norm(cov - gamma_inv) / np.linalg.norm(gamma_inv))
+    eigs = np.linalg.eigvalsh(cov)
+    degenerate = bool(eigs[0] <= EIGENVALUE_FLOOR * max(1.0, eigs[-1]))
+    return mean, cov, cov_rel, degenerate
+
+
 def normality_report(samples: np.ndarray, gamma: GammaMatrix) -> NormalityReport:
     """Moment diagnostics of normalized errors against N(0, Gamma^-1).
 
@@ -243,14 +255,8 @@ def normality_report(samples: np.ndarray, gamma: GammaMatrix) -> NormalityReport
     n, m = samples.shape
     if n < 30:
         raise InputError(f"need at least 30 samples, got {n}")
-    root = symmetric_sqrt(gamma.matrix)
-    ginv = np.linalg.inv(gamma.matrix)
-    std = samples @ root
-    mean = samples.mean(axis=0)
-    cov = np.cov(samples, rowvar=False, ddof=1).reshape(m, m)
-    cov_rel = float(np.linalg.norm(cov - ginv) / np.linalg.norm(ginv))
-    cov_eigs = np.linalg.eigvalsh(cov)
-    degenerate = bool(cov_eigs[0] <= EIGENVALUE_FLOOR * max(1.0, cov_eigs[-1]))
+    std = samples @ symmetric_sqrt(gamma.matrix)
+    mean, cov, cov_rel, degenerate = _moments(samples, np.linalg.inv(gamma.matrix))
     if degenerate:
         skew = kurt = ad = np.full(m, np.nan)
     else:
@@ -286,8 +292,10 @@ def gaussian_reference_moments(gamma_inv: np.ndarray, seed: int = 0x6A0551) -> t
 
 
 def summarize_epsilon(
-    epsilon: float, results: list, gamma: GammaMatrix, gamma_inv: np.ndarray
+    epsilon: float, results: list, gamma: GammaMatrix, gamma_inv: np.ndarray, reference: tuple
 ) -> EpsSummary:
+    """Moments and diagnostics of one epsilon level; reference is the
+    (E|x|, E|x|^2) pair of gaussian_reference_moments(gamma_inv)."""
     ok = [res for res in results if not res.failed]
     n_failed = len(results) - len(ok)
     m = gamma.matrix.shape[0]
@@ -307,19 +315,10 @@ def summarize_epsilon(
         skew, kurt, ad = report.skewness, report.excess_kurtosis, report.anderson_darling
         degenerate = report.degenerate
     else:
-        # too few samples (or a singular information matrix) for the
-        # distributional diagnostics; plain moments only
-        mean = us.mean(axis=0)
-        cov = np.cov(us, rowvar=False, ddof=1).reshape(m, m)
-        if gamma.a5_ok:
-            ginv = np.linalg.inv(gamma.matrix)
-            cov_rel = float(np.linalg.norm(cov - ginv) / np.linalg.norm(ginv))
-        else:
-            cov_rel = np.nan
+        # too few samples (or a singular information matrix, whose NaN
+        # inverse makes cov_rel NaN) for the distributional diagnostics
+        mean, cov, cov_rel, degenerate = _moments(us, gamma_inv)
         skew = kurt = ad = np.full(m, np.nan)
-        eigs = np.linalg.eigvalsh(cov)
-        degenerate = bool(eigs[0] <= EIGENVALUE_FLOOR * max(1.0, eigs[-1]))
-    ref_abs, ref_sq = gaussian_reference_moments(gamma_inv)
     boundary = float(np.mean([res.record.boundary_flag for res in ok]))
     return EpsSummary(
         epsilon=float(epsilon),
@@ -333,8 +332,8 @@ def summarize_epsilon(
         anderson_darling=ad,
         mean_abs_u=float(np.mean(np.linalg.norm(us, axis=1))),
         mean_sq_u=float(np.mean(np.sum(us**2, axis=1))),
-        ref_abs_u=ref_abs,
-        ref_sq_u=ref_sq,
+        ref_abs_u=reference[0],
+        ref_sq_u=reference[1],
         mean_sup_dist=float(np.mean(sups)),
         score_mean=scores.mean(axis=0),
         score_cov=np.cov(scores, rowvar=False, ddof=1).reshape(m, m),
@@ -397,8 +396,9 @@ def run_study(cfg: StudyConfig) -> StudySummary:
         # information matrix degenerate: report raw moments, no standardization
         log.warning("information matrix is singular; normalized diagnostics unavailable")
         gamma_inv = np.full_like(gamma.matrix, np.nan)
+    reference = gaussian_reference_moments(gamma_inv)
     per_eps = tuple(
-        summarize_epsilon(eps, by_eps[eps], gamma, gamma_inv) for eps in epsilons
+        summarize_epsilon(eps, by_eps[eps], gamma, gamma_inv, reference) for eps in epsilons
     )
     n_total = len(tasks)
     n_failed = sum(1 for res in results if res.failed)

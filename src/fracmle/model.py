@@ -97,23 +97,29 @@ def eval_diffusion(model: ModelSpec, x) -> np.ndarray:
     return np.asarray(model.diffusion(x), dtype=float).reshape(model.d, model.r)
 
 
-def eval_A(model: ModelSpec, x) -> np.ndarray:
-    sig = eval_diffusion(model, x)
-    return sig @ sig.T
-
-
 def eval_A_inverse(model: ModelSpec, x, floor: float = DEFAULT_ELLIPTICITY_FLOOR) -> np.ndarray:
     """Inverse of A(x) = sigma sigma*; raises when det A is at or below the floor."""
-    a = eval_A(model, x)
-    det = float(np.linalg.det(a))
-    if det <= floor:
-        raise EllipticityError(f"det A(x) = {det:.3e} <= floor {floor:.3e}", x=x, det=det)
-    inv = np.linalg.inv(a)
-    if np.max(np.abs(a @ inv - np.eye(model.d))) > 1e-10:
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    sig = eval_diffusion(model, x)
+    return _checked_inverse((sig @ sig.T)[None], x[None], floor)[0]
+
+
+def _checked_inverse(a: np.ndarray, states: np.ndarray, floor: float) -> np.ndarray:
+    """Inverses of stacked A = sigma sigma*, after the det-floor and 1e-10 residual checks."""
+    det = np.linalg.det(a)
+    bad = det <= floor
+    if np.any(bad):
+        k = int(np.argmax(bad))
         raise EllipticityError(
-            "A(x) numerically singular beyond 1e-10 inversion check", x=x, det=det
+            f"det A(x) = {det[k]:.3e} <= floor {floor:.3e} at path node {k}",
+            x=states[k],
+            det=float(det[k]),
         )
-    return inv
+    ainv = np.linalg.inv(a)
+    resid = np.einsum("kab,kbc->kac", a, ainv) - np.eye(a.shape[-1])
+    if np.max(np.abs(resid)) > 1e-10:
+        raise EllipticityError("A(x) numerically singular beyond 1e-10 inversion check")
+    return ainv
 
 
 def eval_path(model: ModelSpec, fn, states: np.ndarray, base_shape: tuple, theta=None) -> np.ndarray:
@@ -143,20 +149,7 @@ def weighted_path(model: ModelSpec, states: np.ndarray, floor: float = DEFAULT_E
     """
     d, r = model.d, model.r
     sig = eval_path(model, model.diffusion, states, (d, r))
-    a = np.einsum("kai,kbi->kab", sig, sig)
-    det = np.linalg.det(a)
-    bad = det <= floor
-    if np.any(bad):
-        k = int(np.argmax(bad))
-        raise EllipticityError(
-            f"det A(x) = {det[k]:.3e} <= floor {floor:.3e} at path node {k}",
-            x=states[k],
-            det=float(det[k]),
-        )
-    ainv = np.linalg.inv(a)
-    resid = np.einsum("kab,kbc->kac", a, ainv) - np.eye(d)
-    if np.max(np.abs(resid)) > 1e-10:
-        raise EllipticityError("A(x) numerically singular beyond 1e-10 inversion check")
+    ainv = _checked_inverse(np.einsum("kai,kbi->kab", sig, sig), states, floor)
     f = np.einsum("kbi,kba->kia", sig, ainv)
     dsig = eval_path(model, model.diffusion_dx, states, (d, r, d))
     da = np.einsum("kaip,kbi->kabp", dsig, sig) + np.einsum("kai,kbip->kabp", sig, dsig)

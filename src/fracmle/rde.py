@@ -19,7 +19,7 @@ import numpy as np
 from .controlled import ControlledPath
 from .errors import DivergenceError, InputError
 from .fbm import RoughPath, TimeGrid
-from .model import ModelSpec
+from .model import ModelSpec, eval_path
 
 BLOWUP_GUARD = 1e12
 
@@ -45,6 +45,13 @@ class OdePath:
     grid: TimeGrid
 
 
+def _check_x0(model: ModelSpec, x0) -> np.ndarray:
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    if x0.shape != (model.d,):
+        raise InputError(f"x0 has shape {x0.shape}, model expects ({model.d},)")
+    return x0
+
+
 def solve_rde(
     model: ModelSpec,
     theta,
@@ -57,9 +64,7 @@ def solve_rde(
     theta = model.check_theta(theta)
     if not 0.0 <= epsilon <= 1.0:
         raise InputError(f"epsilon must lie in [0, 1], got {epsilon}")
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    if x0.shape != (model.d,):
-        raise InputError(f"x0 has shape {x0.shape}, model expects ({model.d},)")
+    x0 = _check_x0(model, x0)
     grid = rp.grid
     if rp.r != model.r:
         raise InputError(f"driver has {rp.r} components, model expects {model.r}")
@@ -98,7 +103,7 @@ def solve_rde(
 def solve_ode(model: ModelSpec, theta0, x0, grid: TimeGrid) -> OdePath:
     """RK4 integration of dx/dt = b(x, theta0) on the coarse grid."""
     theta0 = model.check_theta(theta0)
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    x0 = _check_x0(model, x0)
     nc, dt = grid.n_coarse, grid.dt
     states = np.empty((nc + 1, model.d))
     states[0] = x0
@@ -129,12 +134,7 @@ def sup_distance(xeps: Trajectory, x: OdePath) -> float:
 
 def trajectory_as_controlled(traj: Trajectory, model: ModelSpec, rp: RoughPath) -> ControlledPath:
     """The solution as a controlled path: values X_t, derivative eps sigma(X_t)."""
-    n1 = traj.states.shape[0]
-    gub = np.empty((n1, model.d, model.r))
-    for k in range(n1):
-        gub[k] = traj.epsilon * np.asarray(model.diffusion(traj.states[k]), dtype=float).reshape(
-            model.d, model.r
-        )
+    gub = traj.epsilon * eval_path(model, model.diffusion, traj.states, (model.d, model.r))
     return ControlledPath(values=np.asarray(traj.states, dtype=float), gubinelli=gub, driver=rp)
 
 

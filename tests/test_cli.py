@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -159,9 +160,35 @@ def test_simulate_area_dump(tmp_path, linear_config):
     )
     assert res.returncode == 0, res.stderr
     files = json.loads(res.stdout)
-    lines = open(files["areas"]).read().strip().split("\n")
+    lines = Path(files["areas"]).read_text().strip().split("\n")
     assert lines[0] == "k,i,j,area"
     assert len(lines) == 1 + 128  # header + n_fine rows for r = 1
+
+
+def test_simulate_area_dump_two_components(tmp_path):
+    from fracmle import HurstVector, TimeGrid, lift, sample_fbm
+
+    doc = {
+        "model": {"name": "cross2d", "theta0": [1.0, 2.0], "x0": [1.0, 1.0]},
+        "grid": {"T": 1.0, "n_coarse": 8, "refine_level": 2},
+        "hurst": [0.4, 0.45],
+        "epsilon": 0.1,
+    }
+    cfg = _write(tmp_path, doc)
+    res = run_cli(
+        "simulate", "--config", str(cfg), "--seed", "3",
+        "--output-dir", str(tmp_path), "--dump-areas",
+    )
+    assert res.returncode == 0, res.stderr
+    lines = Path(json.loads(res.stdout)["areas"]).read_text().strip().split("\n")
+    assert lines[0] == "k,i,j,area"
+    grid = TimeGrid(1.0, 8, 2)
+    rp = lift(sample_fbm(HurstVector((0.4, 0.45)), grid, 3), grid)
+    expected = [(k, i, j) for k in range(grid.n_fine) for i in (1, 2) for j in (1, 2)]
+    rows = [line.split(",") for line in lines[1:]]
+    assert [(int(k), int(i), int(j)) for k, i, j, _ in rows] == expected
+    for k, i, j, value in rows:
+        assert float(value) == rp.areas[int(k), int(i) - 1, int(j) - 1]
 
 
 def test_estimate_boundary_flag_path(tmp_path):
@@ -252,6 +279,23 @@ def test_mc_bad_thread_count_is_validation_error(tmp_path):
     res = run_cli("mc", "--config", str(cfg), env=dict(os.environ, FRACMLE_THREADS="abc"))
     assert res.returncode == 2
     assert "FRACMLE_THREADS" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("command", ["gamma", "estimate", "mc"])
+def test_x0_length_mismatch_is_typed_error(tmp_path, command):
+    doc = {
+        "model": {"name": "linear1d", "theta0": [1.0], "x0": [1.0, 2.0]},
+        "grid": {"T": 1.0, "n_coarse": 32},
+        "hurst": 0.4,
+        "epsilon": 0.1,
+        "study": {"epsilons": [0.1], "n_replicates": 2},
+        "seed": 5,
+    }
+    cfg = _write(tmp_path, doc)
+    res = run_cli(command, "--config", str(cfg))
+    assert res.returncode == 1
+    assert res.stderr.startswith("error: InputError")
     assert "Traceback" not in res.stderr
 
 

@@ -2,11 +2,15 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.random import Generator, Philox
 from scipy.stats import linregress
 
 from fracmle import (
     HurstVector,
     InputError,
+    ResourceError,
     TimeGrid,
     area_holder_seminorm,
     chen_defect,
@@ -14,7 +18,7 @@ from fracmle import (
     lift,
     sample_fbm,
 )
-from fracmle.fbm import _fgn_cholesky
+from fracmle.fbm import _fgn_circulant
 
 from conftest import sampled_lift
 
@@ -78,27 +82,26 @@ def test_sampler_deterministic(h04):
     assert not np.array_equal(a, c)
 
 
-def test_cholesky_fallback_covariance():
-    # fallback sampler is exact too: check Var of the first increments
-    from numpy.random import Generator, Philox
-
-    n, hurst = 16, 0.4
-    draws = np.array([_fgn_cholesky(n, hurst, Generator(Philox(s))) for s in range(4000)])
-    cov = np.cov(draws, rowvar=False, ddof=1)
-    k = np.arange(n, dtype=float)
-    rho = 0.5 * ((k + 1) ** 0.8 + np.abs(k - 1) ** 0.8 - 2 * k**0.8)
-    target = rho[np.abs(k[:, None] - k[None, :]).astype(int)]
-    assert np.max(np.abs(cov - target)) <= 0.1
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    hurst=st.floats(1.0 / 3.0, 0.5, exclude_min=True, exclude_max=True),
+    n=st.integers(2, 4096),
+)
+def test_circulant_embedding_psd_in_hurst_range(hurst, n):
+    # the embedding is PSD for H <= 1/2, so the sampler never raises there
+    fgn = _fgn_circulant(n, hurst, Generator(Philox(n)))
+    assert fgn.shape == (n,) and np.all(np.isfinite(fgn))
 
 
-def test_fallback_warning_logged(monkeypatch, caplog, h04):
-    import fracmle.fbm as fbm_mod
+def test_negative_spectrum_raises(monkeypatch, h04):
+    def negative_spectrum(c):
+        g = np.ones(len(c), dtype=complex)
+        g[1] = -1.0
+        return g
 
-    monkeypatch.setattr(fbm_mod, "_fgn_circulant", lambda n, h, rng: None)
-    grid = TimeGrid(1.0, 16, 0)
-    with caplog.at_level(logging.WARNING, logger="fracmle.fbm"):
-        sample_fbm(h04, grid, 5)
-    assert any("Cholesky" in rec.message for rec in caplog.records)
+    monkeypatch.setattr(np.fft, "fft", negative_spectrum)
+    with pytest.raises(ResourceError):
+        sample_fbm(h04, TimeGrid(1.0, 16, 0), 5)
 
 
 def test_lift_smooth_path_area():
@@ -220,8 +223,6 @@ def test_area_seminorm_finite_and_monotone_alpha():
 
 
 def test_resource_guard_on_huge_grid(h04):
-    from fracmle import ResourceError
-
     with pytest.raises(ResourceError):
         sample_fbm(h04, TimeGrid(1.0, 2, 24), 1)
 

@@ -35,7 +35,7 @@ from fracmle import (
 )
 from fracmle import inference
 from fracmle.inference import _latin_hypercube_starts, plans_for
-from fracmle.model import _zeros_theta_derivs
+from fracmle.model import _zeros_theta_derivs, sigma_weighted
 
 from conftest import sampled_lift, trapezoid_weights
 
@@ -560,6 +560,29 @@ def test_transfer_identity_cross2d_finite():
     rp = sampled_lift(hv, grid, 83)
     traj = solve_rde(model, [1.0, 2.0], 0.1, rp, [1.0, 1.0])
     assert verify_transfer_identity(traj, model, rp) <= 0.05
+
+
+def test_transfer_identity_matches_per_node_loop():
+    # the stacked evaluation against a per-node loop with an explicit area
+    # completion; only the summation order differs
+    model = get_model("cross2d")
+    theta0 = np.array([1.0, 2.0])
+    grid = TimeGrid(1.0, 64, 2)
+    rp = sampled_lift(HurstVector((0.4, 0.45)), grid, 84)
+    traj = solve_rde(model, theta0, 0.1, rp, [1.0, 1.0])
+    fb = np.array([sigma_weighted(model, x)[0] @ model.drift(x, theta0) for x in traj.states])
+    y = cumulative_trapezoid(fb, grid.coarse_nodes(), axis=0, initial=0.0) / 0.1
+    dy = np.diff(y + rp.coarse_values(), axis=0)
+    total = np.zeros(2)
+    for k in range(grid.n_coarse):
+        x = traj.states[k]
+        area = rp.coarse_areas[k].copy()
+        area[0, 0], area[1, 1] = 0.5 * dy[k] ** 2
+        area[1, 0] = -area[0, 1] + dy[k, 0] * dy[k, 1]
+        g = np.einsum("aic,cj->aij", model.diffusion_dx(x), model.diffusion(x))
+        total += model.diffusion(x) @ dy[k] + 0.1 * np.einsum("aij,ji->a", g, area)
+    expect = np.linalg.norm(0.1 * total - (traj.states[-1] - traj.states[0]))
+    assert verify_transfer_identity(traj, model, rp) == pytest.approx(expect, rel=0, abs=1e-12)
 
 
 # ---------------------------------------------------------------- field convergence

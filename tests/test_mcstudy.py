@@ -250,6 +250,26 @@ def test_gaussian_reference_moments_2d_mc():
     assert eabs == pytest.approx(np.mean(np.linalg.norm(draws, axis=1)), rel=0.01)
 
 
+def test_reference_moments_computed_once_per_study(monkeypatch):
+    import fracmle.mcstudy as mcstudy
+
+    real = mcstudy.gaussian_reference_moments
+    calls = []
+
+    def counted(gamma_inv, *args, **kwargs):
+        calls.append(gamma_inv)
+        return real(gamma_inv, *args, **kwargs)
+
+    monkeypatch.setattr(mcstudy, "gaussian_reference_moments", counted)
+    cfg = _small_cfg(
+        model="cross2d", theta0=(1.0, 2.0), x0=(1.0, 1.0), hurst=(0.4, 0.45),
+        epsilons=(0.1, 0.05), n_replicates=4, n_coarse=32, refine_level=2,
+    )
+    summary = run_study(cfg)
+    assert len(calls) == 1
+    assert [s.ref_abs_u for s in summary.per_eps] == [real(summary.gamma_inv)[0]] * 2
+
+
 def test_config_validation():
     with pytest.raises(InputError):
         _small_cfg(n_replicates=1)
