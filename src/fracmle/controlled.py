@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import linregress
 
 from .errors import InputError
 from .fbm import RoughPath, _gap_list
@@ -137,5 +136,7 @@ def remainder_exponent_fit(z: ControlledPath, rp: RoughPath, alpha: float):
         size //= 2
     if len(means) < 2:
         return "exact"
-    fit = linregress(np.log(lengths), np.log(means))
-    return float(fit.slope)
+    # least-squares slope of log(mean) on log(length)
+    x, y = np.log(lengths), np.log(means)
+    x = x - x.mean()
+    return float(x @ (y - y.mean()) / (x @ x))

@@ -6,6 +6,30 @@ piecewise-linear data (product integration), so the left/right integral
 rules are exact for constant and linear integrands. On a uniform grid the
 weights depend only on k-l, which lets the transform run as a discrete
 convolution instead of a dense weight matrix.
+
+The observation-to-Wiener transform W_k = sum_{l<k} kappa(t_k, m_l) dY_l
+(Norros, Valkeila & Virtamo, Bernoulli 1999) never forms kappa either.
+In grid units, with s_l = l + 1/2, a = 1/2 - H, g_l = s_l^a dY_l and
+C = dt^a / (d_H Gamma(a)), the identity
+Phi(1 - s/k) = int_s^k (u - s)^(a-1) u^(-a) du splits W into cell
+increments:
+
+    W_k = C sum_{j<k} inc_j,
+    inc_j = sum_{l<=j} g_l int_{max(j, s_l)}^{j+1} (u - s_l)^(a-1) u^(-a) du.
+
+For j >= J put u = j + 1/2 + sigma and expand u^(-a) in sigma / (j + 1/2):
+
+    inc_j = sum_{p=0..P} binom(-a, p) (j + 1/2)^(-a-p) (g * T_p)_j,
+
+with the causal Toeplitz tables T_p(0) = 2^(-p-a) / (p + a) and
+T_p(m) = int_{-1/2}^{1/2} sigma^p (m + sigma)^(a-1) dsigma for m >= 1 (a
+smooth integrand, since m + sigma >= 1/2, taken by 20-point
+Gauss-Legendre). |sigma / (j + 1/2)| <= 1/(2J + 1), so cutting the series
+after p = P leaves a relative error below (2J + 1)^-(P+1), about 1e-20
+at J = KERNEL_HEAD_ROWS = 32 and P = KERNEL_SERIES_ORDER = 10: the
+transform is exact to roundoff. Rows k <= J come from the closed form of
+kappa, so W_J is exact, and W_k = W_J + C sum_{j=J}^{k-1} inc_j costs one
+rfft, one stacked irfft of P + 1 rows and a cumsum per path.
 """
 
 from __future__ import annotations
@@ -15,7 +39,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy import fft as sp_fft
+from scipy.special import binom
 from scipy.special import gamma as gamma_fn
 from scipy.special import hyp2f1
 
@@ -24,6 +49,11 @@ from .fbm import TimeGrid
 
 # direct convolution below this length; FFT convolution above
 _DIRECT_CONV_LIMIT = 256
+# rows k <= KERNEL_HEAD_ROWS of kappa come from its closed form, later rows
+# from the series truncated after KERNEL_SERIES_ORDER + 1 terms
+KERNEL_HEAD_ROWS = 32
+KERNEL_SERIES_ORDER = 10
+_TABLE_GAUSS_NODES = 20
 
 
 def d_H(hurst: float) -> float:
@@ -70,30 +100,67 @@ def _conv(f: np.ndarray, kernel: np.ndarray, out_len: int) -> np.ndarray:
         return np.zeros(out_len)
     if out_len <= _DIRECT_CONV_LIMIT:
         return np.convolve(f, kernel)[:out_len]
-    return fftconvolve(f, kernel)[:out_len]
+    size = sp_fft.next_fast_len(len(f) + len(kernel) - 1, real=True)
+    return sp_fft.irfft(sp_fft.rfft(f, size) * sp_fft.rfft(kernel, size), size)[:out_len]
 
 
-def _lower_triangular_kernel(hurst: float, grid: TimeGrid) -> np.ndarray:
-    """kappa(t_k, m_l) for coarse nodes t_k and midpoints m_l < t_k.
+def _lower_triangular_kernel(hurst: float, dt: float, rows: int) -> np.ndarray:
+    """kappa(t_k, m_l) for nodes t_k = k dt, k < rows, and midpoints m_l < t_k.
 
-    kappa(t, s) = d_H^-1 s^a I^a_{t-}[y^{-a}](s) with a = 1/2 - H, which
-    has the closed form d_H^-1 s^a Phi(x) / Gamma(a), where x = (t-s)/t and
+    The (rows, rows - 1) block of the kernel matrix, in closed form:
+    kappa(t, s) = d_H^-1 s^a I^a_{t-}[y^{-a}](s) with a = 1/2 - H equals
+    d_H^-1 s^a Phi(x) / Gamma(a), where x = (t-s)/t and
     Phi(x) = int_0^x v^(a-1)/(1-v) dv = x^a/a * 2F1(1, a; 1+a; x).
     """
     alpha = 0.5 - hurst
-    n = grid.n_coarse
-    dt = grid.dt
-    dh = d_H(hurst)
-    kk, ll = np.tril_indices(n + 1, k=-1)
-    keep = ll < n  # midpoints exist for l = 0..n-1
-    kk, ll = kk[keep], ll[keep]
+    kk, ll = np.tril_indices(rows, k=-1)
     mids = (ll + 0.5) * dt
     x = 1.0 - (ll + 0.5) / kk
     phi = x**alpha / alpha * hyp2f1(1.0, alpha, 1.0 + alpha, x)
-    vals = mids**alpha * phi / (dh * gamma_fn(alpha))
-    out = np.zeros((n + 1, n))
-    out[kk, ll] = vals
+    out = np.zeros((rows, rows - 1))
+    out[kk, ll] = mids**alpha * phi / (d_H(hurst) * gamma_fn(alpha))
     return out
+
+
+def _series_tables(alpha: float, length: int) -> np.ndarray:
+    """T_p(m) for p = 0..P and m = 0..length-1 (see the module docstring)."""
+    p = np.arange(KERNEL_SERIES_ORDER + 1)
+    tables = np.empty((p.size, length))
+    tables[:, 0] = 0.5 ** (p + alpha) / (p + alpha)
+    x, w = np.polynomial.legendre.leggauss(_TABLE_GAUSS_NODES)
+    sigma = 0.5 * x
+    moments = 0.5 * w * sigma ** p[:, None]
+    tables[:, 1:] = moments @ ((np.arange(1, length)[:, None] + sigma) ** (alpha - 1.0)).T
+    return tables
+
+
+@dataclass(frozen=True)
+class KernelTail:
+    """Rows k > J of the Hurst kernel as the Toeplitz series of the module
+    docstring.
+
+    spectra (P+1, fft_len//2 + 1) holds the rfft of T_0..T_P at fft_len;
+    weights (P+1, n - J) holds binom(-a, p) (j + 1/2)^(-a-p) for j = J..n-1;
+    scale is C = dt^a / (d_H Gamma(a)).
+    """
+
+    spectra: np.ndarray
+    fft_len: int
+    weights: np.ndarray
+    scale: float
+
+    @staticmethod
+    def build(hurst: float, grid: TimeGrid) -> "KernelTail":
+        alpha = 0.5 - hurst
+        n = grid.n_coarse
+        fft_len = sp_fft.next_fast_len(2 * n - 1, real=True)
+        spectra = sp_fft.rfft(_series_tables(alpha, n), fft_len)
+        p = np.arange(KERNEL_SERIES_ORDER + 1)[:, None]
+        weights = binom(-alpha, p) * (np.arange(KERNEL_HEAD_ROWS, n) + 0.5) ** (-alpha - p)
+        scale = grid.dt**alpha / (d_H(hurst) * gamma_fn(alpha))
+        for arr in (spectra, weights):
+            arr.setflags(write=False)
+        return KernelTail(spectra, fft_len, weights, scale)
 
 
 @dataclass(frozen=True)
@@ -103,9 +170,13 @@ class FracKernelPlan:
     weights_left/weights_right hold the Toeplitz generators (A, C) of the
     product-integration weights w_{k,l} for I^a_{0+} and I^a_{T-} (the
     dense matrix is never materialized; row sums are checked through the
-    rules' action on f == 1). kernel_matrix holds kappa(t_k, midpoint_l)
-    for the observation-to-Wiener transform and exists only for plans
-    built from a Hurst index.
+    rules' action on f == 1). Plans built from a Hurst index H < 1/2 also
+    carry the observation-to-Wiener kernel kappa(t_k, m_l), which is never
+    formed whole: kernel_matrix holds rows k <= J of kappa (all of it when
+    n <= J), and kernel_tail the series for the rows after J (J = 32 and
+    P = 10, see the module docstring). Together they keep about 1 MB at
+    n = 4096. At H = 1/2 kappa == 1, so the transform is W = Y - Y_0 and
+    both are None.
     """
 
     hurst: float | None
@@ -114,6 +185,7 @@ class FracKernelPlan:
     weights_left: tuple
     weights_right: tuple
     kernel_matrix: np.ndarray | None
+    kernel_tail: KernelTail | None = None
 
     @staticmethod
     def for_order(alpha: float, grid: TimeGrid) -> "FracKernelPlan":
@@ -132,15 +204,14 @@ class FracKernelPlan:
         alpha = 0.5 - hurst
         if alpha == 0.0:
             # H = 1/2 diagnostic mode: I^0 = identity, kappa == 1
-            kern = np.tril(np.ones((grid.n_coarse + 1, grid.n_coarse)), k=-1)
-            kern.setflags(write=False)
-            weights = (None, None)
-            return FracKernelPlan(hurst, grid, alpha, weights, weights, kern)
-        A, C = _pi_kernels(alpha, grid.n_coarse, grid.dt)
-        kern = _lower_triangular_kernel(hurst, grid)
-        for arr in (A, C, kern):
+            return FracKernelPlan(hurst, grid, alpha, (None, None), (None, None), None)
+        n = grid.n_coarse
+        A, C = _pi_kernels(alpha, n, grid.dt)
+        head = _lower_triangular_kernel(hurst, grid.dt, min(n, KERNEL_HEAD_ROWS) + 1)
+        tail = KernelTail.build(hurst, grid) if n > KERNEL_HEAD_ROWS else None
+        for arr in (A, C, head):
             arr.setflags(write=False)
-        return FracKernelPlan(hurst, grid, alpha, (A, C), (A, C), kern)
+        return FracKernelPlan(hurst, grid, alpha, (A, C), (A, C), head, tail)
 
     def left_row_sums(self) -> np.ndarray:
         return rl_integral_left(self, np.ones(self.grid.n_coarse + 1))
@@ -181,17 +252,29 @@ def kh_inverse_transform(plan: FracKernelPlan, y: np.ndarray) -> np.ndarray:
 
     When Y is a fBm with the plan's Hurst index, W is a standard Wiener
     process up to the midpoint-rule discretization (checked behaviorally:
-    Var(W_t) = t, Cov(W_s, W_t) = min(s, t)).
+    Var(W_t) = t, Cov(W_s, W_t) = min(s, t)). Rows k <= J use the stored
+    head of kappa, later rows the series of the module docstring.
     """
-    if plan.kernel_matrix is None:
+    if plan.hurst is None:
         raise InputError("plan built with for_order() has no Hurst kernel")
     y = np.asarray(y, dtype=float)
     n = plan.grid.n_coarse
     if y.shape[0] != n + 1:
         raise InputError(f"expected {n + 1} samples, got {y.shape[0]}")
+    if plan.alpha == 0.0:
+        return y - y[0]
     dy = np.diff(y)
-    out = plan.kernel_matrix @ dy
+    head = plan.kernel_matrix
+    m = head.shape[1]
+    out = np.empty(n + 1)
+    out[: m + 1] = head @ dy[:m]
     out[0] = 0.0
+    tail = plan.kernel_tail
+    if tail is not None:
+        g = (np.arange(n) + 0.5) ** plan.alpha * dy
+        conv = sp_fft.irfft(sp_fft.rfft(g, tail.fft_len) * tail.spectra, tail.fft_len)
+        inc = np.einsum("pj,pj->j", tail.weights, conv[:, m:n])
+        out[m + 1 :] = out[m] + tail.scale * np.cumsum(inc)
     return out
 
 

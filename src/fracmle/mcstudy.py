@@ -16,7 +16,6 @@ import hashlib
 import inspect
 import json
 import logging
-import multiprocessing
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -26,7 +25,6 @@ from pathlib import Path
 
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
-from scipy import stats as sp_stats
 
 from . import __version__
 from .errors import ConfigError, FracmleError, InputError, StandardizationError
@@ -39,7 +37,6 @@ from .inference import (
     gamma_matrix,
     likelihood_parts,
     mle,
-    plans_for,
 )
 from .model import ModelSpec, get_model
 from .rde import solve_ode, solve_rde, sup_distance
@@ -48,12 +45,6 @@ log = logging.getLogger(__name__)
 
 MAX_FAILED_FRACTION = 0.2
 EIGENVALUE_FLOOR = 1e-12
-
-# SciPy 1.17 asks for an explicit p-value method and warns without one;
-# older releases lack the keyword. The statistic does not depend on it.
-_ANDERSON_KW = (
-    {"method": "interpolate"} if "method" in inspect.signature(sp_stats.anderson).parameters else {}
-)
 
 
 @dataclass(frozen=True)
@@ -260,10 +251,17 @@ def normality_report(samples: np.ndarray, gamma: GammaMatrix) -> NormalityReport
     if degenerate:
         skew = kurt = ad = np.full(m, np.nan)
     else:
+        # imported here so that importing the package does not load scipy.stats
+        from scipy import stats as sp_stats
+
+        # SciPy 1.17 asks for an explicit p-value method and warns without one;
+        # older releases lack the keyword. The statistic does not depend on it.
+        params = inspect.signature(sp_stats.anderson).parameters
+        anderson_kw = {"method": "interpolate"} if "method" in params else {}
         skew = np.array([float(sp_stats.skew(std[:, j])) for j in range(m)])
         kurt = np.array([float(sp_stats.kurtosis(std[:, j], fisher=True)) for j in range(m)])
         ad = np.array(
-            [float(sp_stats.anderson(std[:, j], dist="norm", **_ANDERSON_KW).statistic) for j in range(m)]
+            [float(sp_stats.anderson(std[:, j], dist="norm", **anderson_kw).statistic) for j in range(m)]
         )
     return NormalityReport(
         n=n,
@@ -366,10 +364,6 @@ def run_study(cfg: StudyConfig) -> StudySummary:
     jobs = _n_jobs(cfg)
     results = gamma = None
     if jobs > 1 and len(tasks) > 1:
-        if multiprocessing.get_start_method() == "fork":
-            # forked workers inherit the parent's plan cache instead of
-            # each building the replicate-grid kernel again
-            plans_for(cfg.hurst_vector(), TimeGrid(cfg.T, cfg.n_coarse, 0))
         try:
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 chunk = max(1, len(tasks) // (4 * jobs))

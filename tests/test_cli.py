@@ -308,3 +308,13 @@ def test_selftest_passes():
     res = run_cli("selftest")
     assert res.returncode == 0, res.stdout + res.stderr
     assert "[PASS]" in res.stdout and "[FAIL]" not in res.stdout
+
+
+def test_cli_import_leaves_out_scipy_signal_and_stats():
+    # module presence, not wall-clock time
+    probe = (
+        "import sys, fracmle.cli; "
+        "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

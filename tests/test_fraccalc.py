@@ -1,3 +1,5 @@
+import dataclasses
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -17,6 +19,8 @@ from fracmle import (
     rl_integral_right,
     sample_fbm,
 )
+from fracmle.fbm import HurstVector
+from fracmle.fraccalc import KERNEL_HEAD_ROWS, _lower_triangular_kernel
 
 mp.mp.dps = 40
 
@@ -126,14 +130,55 @@ def test_kernel_value_against_mpmath_quadrature():
     # int_s^t (y-s)^(a-1) y^(-a) dy = (1/a) int_0^{x^a} (1 - w^(1/a))^-1 dw
     # (substitutions v = (y-s)/y then w = v^a remove the singularity)
     hurst, alpha = 0.4, mp.mpf("0.1")
-    plan = get_plan(hurst, 1.0, 64)
+    kernel = _lower_triangular_kernel(hurst, 1.0 / 64, 65)
     dt = mp.mpf(1) / 64
     for k, l in ((64, 10), (32, 0), (50, 49)):
         s, t = (l + mp.mpf("0.5")) * dt, k * dt
         x = (t - s) / t
         inner = mp.quad(lambda w: 1 / (1 - w ** (1 / alpha)), [0, x**alpha]) / alpha
         oracle = float(s**alpha * inner / (mp.gamma(alpha) * d_H(hurst)))
-        assert plan.kernel_matrix[k, l] == pytest.approx(oracle, rel=1e-9)
+        assert kernel[k, l] == pytest.approx(oracle, rel=1e-9)
+
+
+def _oracle_inputs(hurst, n):
+    t = np.linspace(0.0, 1.0, n + 1)
+    fbm = sample_fbm(HurstVector((hurst,)), TimeGrid(1.0, n, 0), (17, n))[:, 0]
+    ramp = 20.0 * t + np.sin(7.0 * t)
+    return {"fbm": fbm, "ramp": ramp, "ramp+noise": ramp + 1e-3 * fbm}
+
+
+@pytest.mark.parametrize("n", [2, 31, 32, 33, 64, 1000, 2048])
+@pytest.mark.parametrize("hurst", [0.34, 0.4, 0.45, 0.49, 0.499])
+def test_kh_transform_matches_dense_kernel(hurst, n):
+    # the series transform against the dense closed-form kernel, to roundoff
+    # (n = 1 is no grid: TimeGrid needs n_coarse >= 2)
+    plan = get_plan(hurst, 1.0, n)
+    dense = _lower_triangular_kernel(hurst, 1.0 / n, n + 1)
+    for name, y in _oracle_inputs(hurst, n).items():
+        want = dense @ np.diff(y)
+        got = kh_inverse_transform(plan, y)
+        assert got[0] == 0.0
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), name
+
+
+def _kept_arrays(obj, seen):
+    if isinstance(obj, np.ndarray):
+        seen[id(obj)] = obj
+    elif isinstance(obj, tuple):
+        for item in obj:
+            _kept_arrays(item, seen)
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            _kept_arrays(getattr(obj, f.name), seen)
+    return seen
+
+
+def test_plan_keeps_no_dense_kernel():
+    # the dense (n+1) x n kernel at n = 4096 alone is 128 MiB
+    plan = get_plan(0.4, 1.0, 4096)
+    kept = _kept_arrays(plan, {})
+    assert sum(a.nbytes for a in kept.values()) < 2 * 2**20
+    assert plan.kernel_matrix.shape == (KERNEL_HEAD_ROWS + 1, KERNEL_HEAD_ROWS)
 
 
 def test_kh_zero_path():

@@ -1,5 +1,4 @@
 import json
-import multiprocessing
 import warnings
 
 import numpy as np
@@ -15,7 +14,6 @@ from fracmle import (
     TimeGrid,
     gamma_matrix,
     get_model,
-    get_plan,
     normality_report,
     run_replicate,
     run_study,
@@ -115,19 +113,6 @@ def test_study_pool_unavailable_runs_serially(tmp_path, monkeypatch):
     a = (tmp_path / "fallback" / "records.jsonl").read_bytes()
     b = (tmp_path / "serial" / "records.jsonl").read_bytes()
     assert a == b
-
-
-@pytest.mark.skipif(
-    multiprocessing.get_start_method() != "fork", reason="plans are inherited only by fork"
-)
-def test_study_fills_replicate_plan_before_forking():
-    # gamma_refine 2 puts Gamma on another grid, so only the prefill can
-    # leave the replicate-grid plan in the parent's cache
-    get_plan.cache_clear()
-    run_study(_small_cfg(n_replicates=4, n_jobs=2, n_coarse=96, gamma_refine=2))
-    hits = get_plan.cache_info().hits
-    get_plan(0.4, 1.0, 96)
-    assert get_plan.cache_info().hits == hits + 1
 
 
 def test_study_duplicate_epsilons_idempotent():
