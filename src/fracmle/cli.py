@@ -39,7 +39,7 @@ def _simulate_once(doc, seed):
         raise ConfigError("config field epsilon: required for this command")
     path = sample_fbm(hv, grid, seed)
     rp = lift(path, grid)
-    traj = solve_rde(model, theta0, doc["epsilon"], rp, x0, seed=seed)
+    traj = solve_rde(model, theta0, doc["epsilon"], rp, x0)
     return model, hv, traj, rp
 
 

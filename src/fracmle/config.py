@@ -15,7 +15,7 @@ from .errors import ConfigError
 from .fbm import HurstVector, TimeGrid
 from .inference import OptimizerConfig
 from .mcstudy import StudyConfig
-from .model import ModelSpec, get_model
+from .model import ModelSpec, ProbeConfig, get_model
 
 _HURST_ITEM = {
     "type": "number",
@@ -153,9 +153,7 @@ def optimizer_from(doc: dict) -> OptimizerConfig:
     return OptimizerConfig(**doc.get("optimizer", {}))
 
 
-def probe_from(doc: dict):
-    from .model import ProbeConfig
-
+def probe_from(doc: dict) -> ProbeConfig:
     return ProbeConfig(**doc.get("probe", {}))
 
 

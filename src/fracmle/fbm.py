@@ -113,20 +113,19 @@ class TimeGrid:
     def fine_nodes(self) -> np.ndarray:
         return np.linspace(0.0, self.T, self.n_fine + 1)
 
-    def fine_index(self, t: float) -> int:
-        """Map a time to its fine-grid node index; off-grid times are errors."""
-        k = t / self.T * self.n_fine
+    def _node_index(self, t: float, n: int, level: str) -> int:
+        """Map a time to its node index on the grid of n steps; off-grid times are errors."""
+        k = t / self.T * n
         ki = int(round(k))
-        if ki < 0 or ki > self.n_fine or abs(k - ki) > 1e-8 * self.n_fine:
-            raise InputError(f"time {t} is not a fine-grid node")
+        if ki < 0 or ki > n or abs(k - ki) > 1e-8 * n:
+            raise InputError(f"time {t} is not a {level}-grid node")
         return ki
 
+    def fine_index(self, t: float) -> int:
+        return self._node_index(t, self.n_fine, "fine")
+
     def coarse_index(self, t: float) -> int:
-        k = t / self.T * self.n_coarse
-        ki = int(round(k))
-        if ki < 0 or ki > self.n_coarse or abs(k - ki) > 1e-8 * self.n_coarse:
-            raise InputError(f"time {t} is not a coarse-grid node")
-        return ki
+        return self._node_index(t, self.n_coarse, "coarse")
 
 
 @dataclass(frozen=True)

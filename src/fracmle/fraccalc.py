@@ -47,8 +47,6 @@ from scipy.special import hyp2f1
 from .errors import InputError, PoleError
 from .fbm import TimeGrid
 
-# direct convolution below this length; FFT convolution above
-_DIRECT_CONV_LIMIT = 256
 # rows k <= KERNEL_HEAD_ROWS of kappa come from its closed form, later rows
 # from the series truncated after KERNEL_SERIES_ORDER + 1 terms
 KERNEL_HEAD_ROWS = 32
@@ -96,10 +94,6 @@ def _pi_kernels(alpha: float, n: int, dt: float):
 
 
 def _conv(f: np.ndarray, kernel: np.ndarray, out_len: int) -> np.ndarray:
-    if len(f) == 0:
-        return np.zeros(out_len)
-    if out_len <= _DIRECT_CONV_LIMIT:
-        return np.convolve(f, kernel)[:out_len]
     size = sp_fft.next_fast_len(len(f) + len(kernel) - 1, real=True)
     return sp_fft.irfft(sp_fft.rfft(f, size) * sp_fft.rfft(kernel, size), size)[:out_len]
 
@@ -212,12 +206,6 @@ class FracKernelPlan:
         for arr in (A, C, head):
             arr.setflags(write=False)
         return FracKernelPlan(hurst, grid, alpha, (A, C), (A, C), head, tail)
-
-    def left_row_sums(self) -> np.ndarray:
-        return rl_integral_left(self, np.ones(self.grid.n_coarse + 1))
-
-    def right_row_sums(self) -> np.ndarray:
-        return rl_integral_right(self, np.ones(self.grid.n_coarse + 1))
 
 
 @lru_cache(maxsize=32)

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
-from scipy.integrate import cumulative_trapezoid
 
 from . import fraccalc
 from .errors import InputError, OptimizationError
@@ -129,6 +128,8 @@ def plans_for(hurst: HurstVector, grid: TimeGrid) -> tuple:
 def build_context(traj: Trajectory, model: ModelSpec, hurst: HurstVector) -> LikelihoodContext:
     if len(hurst) != model.r:
         raise InputError(f"hurst has {len(hurst)} components, model drives {model.r}")
+    if traj.d != model.d:
+        raise InputError(f"trajectory has {traj.d} state columns, model expects {model.d}")
     plans = plans_for(hurst, traj.grid)
     f, df = weighted_path(model, traj.states)
     y = _assemble_Y(traj, f, df)
@@ -426,9 +427,7 @@ def identifiability_scan(
     return float(xi), mesh, values
 
 
-def verify_transfer_identity(
-    traj: Trajectory, model: ModelSpec, rp: RoughPath, epsilon: float | None = None
-) -> float:
+def verify_transfer_identity(traj: Trajectory, model: ModelSpec, rp: RoughPath) -> float:
     """Consistency residual of the enhanced-observation identity
     eps int sigma(X) dY = X_T - X_0.
 
@@ -439,7 +438,7 @@ def verify_transfer_identity(
     under single-step left-point evaluation. The residual measures the
     discretization gap and shrinks with the step size.
     """
-    eps = traj.epsilon if epsilon is None else float(epsilon)
+    eps = traj.epsilon
     if eps <= 0:
         raise InputError("transfer identity requires epsilon > 0")
     theta0 = np.asarray(traj.theta_used, dtype=float)
@@ -447,8 +446,10 @@ def verify_transfer_identity(
     d, r = model.d, model.r
     f, _ = weighted_path(model, states)
     fb = np.einsum("kia,ka->ki", f, eval_path(model, model.drift, states, (d,), theta0))
-    nodes = traj.grid.coarse_nodes()
-    y = cumulative_trapezoid(fb, nodes, axis=0, initial=0.0) / eps + rp.coarse_values()
+    # cumulative trapezoid of F b dt, Y_0 = 0
+    y = np.zeros_like(fb)
+    y[1:] = np.cumsum(np.diff(traj.grid.coarse_nodes())[:, None] * (fb[1:] + fb[:-1]) / 2.0, axis=0)
+    y = y / eps + rp.coarse_values()
     dy = np.diff(y, axis=0)
     sig = eval_path(model, model.diffusion, states[:-1], (d, r))
     dsig = eval_path(model, model.diffusion_dx, states[:-1], (d, r, d))

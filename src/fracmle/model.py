@@ -7,7 +7,8 @@ axes, diffusion(x) -> (d, r), diffusion_dx -> (d, r, d), diffusion_dxx
 -> (d, r, d, d). A model may declare vectorized=True, in which case every
 callback also accepts a stacked x of shape (n, d) and returns the
 corresponding (n, ...) stack; the pipeline then evaluates whole paths in
-one call.
+one call, and the assumption probe evaluates each callback once per
+parameter draw over its whole state lattice.
 
 A model whose drift is affine in theta, b(x, theta) = b0(x) + B(x) theta,
 may declare theta_linear=True. Its log-likelihood is then exactly
@@ -28,7 +29,9 @@ from numpy.random import Generator, Philox, SeedSequence
 
 from .errors import EllipticityError, InputError, ParameterDomainError
 
-DEFAULT_ELLIPTICITY_FLOOR = 1e-12
+ELLIPTICITY_FLOOR = 1e-12
+# probe estimates above this bound fail their assumption flag
+PROBE_BOUND = 1e6
 
 
 @dataclass(frozen=True)
@@ -97,21 +100,21 @@ def eval_diffusion(model: ModelSpec, x) -> np.ndarray:
     return np.asarray(model.diffusion(x), dtype=float).reshape(model.d, model.r)
 
 
-def eval_A_inverse(model: ModelSpec, x, floor: float = DEFAULT_ELLIPTICITY_FLOOR) -> np.ndarray:
+def eval_A_inverse(model: ModelSpec, x) -> np.ndarray:
     """Inverse of A(x) = sigma sigma*; raises when det A is at or below the floor."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     sig = eval_diffusion(model, x)
-    return _checked_inverse((sig @ sig.T)[None], x[None], floor)[0]
+    return _checked_inverse((sig @ sig.T)[None], x[None])[0]
 
 
-def _checked_inverse(a: np.ndarray, states: np.ndarray, floor: float) -> np.ndarray:
+def _checked_inverse(a: np.ndarray, states: np.ndarray) -> np.ndarray:
     """Inverses of stacked A = sigma sigma*, after the det-floor and 1e-10 residual checks."""
     det = np.linalg.det(a)
-    bad = det <= floor
+    bad = det <= ELLIPTICITY_FLOOR
     if np.any(bad):
         k = int(np.argmax(bad))
         raise EllipticityError(
-            f"det A(x) = {det[k]:.3e} <= floor {floor:.3e} at path node {k}",
+            f"det A(x) = {det[k]:.3e} <= floor {ELLIPTICITY_FLOOR:.3e} at path node {k}",
             x=states[k],
             det=float(det[k]),
         )
@@ -135,13 +138,13 @@ def eval_path(model: ModelSpec, fn, states: np.ndarray, base_shape: tuple, theta
     return out
 
 
-def sigma_weighted(model: ModelSpec, x, floor: float = DEFAULT_ELLIPTICITY_FLOOR):
+def sigma_weighted(model: ModelSpec, x):
     """F(x) = sigma* A^-1 and its state Jacobian dF[i, c, c'] = dF_ic/dx_c'."""
-    f, df = weighted_path(model, np.asarray(x, dtype=float).reshape(1, model.d), floor)
+    f, df = weighted_path(model, np.asarray(x, dtype=float).reshape(1, model.d))
     return f[0], df[0]
 
 
-def weighted_path(model: ModelSpec, states: np.ndarray, floor: float = DEFAULT_ELLIPTICITY_FLOOR):
+def weighted_path(model: ModelSpec, states: np.ndarray):
     """F = sigma* A^-1 and its Jacobian along a path, in stacked form.
 
     dF = (d sigma)* A^-1 - sigma* A^-1 (dA) A^-1 with
@@ -149,7 +152,7 @@ def weighted_path(model: ModelSpec, states: np.ndarray, floor: float = DEFAULT_E
     """
     d, r = model.d, model.r
     sig = eval_path(model, model.diffusion, states, (d, r))
-    ainv = _checked_inverse(np.einsum("kai,kbi->kab", sig, sig), states, floor)
+    ainv = _checked_inverse(np.einsum("kai,kbi->kab", sig, sig), states)
     f = np.einsum("kbi,kba->kia", sig, ainv)
     dsig = eval_path(model, model.diffusion_dx, states, (d, r, d))
     da = np.einsum("kaip,kbi->kabp", dsig, sig) + np.einsum("kai,kbip->kabp", sig, dsig)
@@ -161,7 +164,7 @@ def weighted_path(model: ModelSpec, states: np.ndarray, floor: float = DEFAULT_E
 
 @dataclass(frozen=True)
 class ProbeConfig:
-    """Probe ranges and thresholds for the assumption report."""
+    """Probe ranges and exponents for the assumption report."""
 
     lo: float = -5.0
     hi: float = 5.0
@@ -170,10 +173,6 @@ class ProbeConfig:
     n_theta: int = 20
     growth_exponent: float = 1.0  # N in (1 + |x|^N)
     ac_exponent: float = 0.3  # lambda in the weighted-drift growth probe
-    lipschitz_max: float = 1e6
-    polygrowth_max: float = 1e6
-    ellipticity_floor: float = DEFAULT_ELLIPTICITY_FLOOR
-    diffusion_bound_max: float = 1e6
 
 
 @dataclass(frozen=True)
@@ -194,11 +193,13 @@ def probe_assumptions(
 
     States are probed on an axis-aligned lattice over [lo, hi]^d (odd
     per-axis count, so the midpoint of a symmetric range is included);
-    parameters are drawn from the box. Violations are reported through
+    parameters are drawn from the box. Each drift callback is evaluated
+    once per parameter draw over the whole lattice, and each diffusion
+    callback once, through eval_path. Violations are reported through
     pass_flags, never raised; the global sup conditions are not decidable
     numerically, so all estimates are probe maxima.
     """
-    if probe.hi <= probe.lo:
+    if not (np.isfinite(probe.lo) and np.isfinite(probe.hi) and probe.lo < probe.hi):
         raise InputError(f"degenerate probe range [{probe.lo}, {probe.hi}]")
     rng = Generator(Philox(SeedSequence(entropy=(int(seed), 0xA55E))))
     per_axis = max(3, round(probe.n_points ** (1.0 / model.d)))
@@ -210,63 +211,66 @@ def probe_assumptions(
     )
     dom = model.theta_domain
     thetas = rng.uniform(dom[:, 0], dom[:, 1], size=(probe.n_theta, model.m))
+    d, r, m = model.d, model.r, model.m
 
+    def table(fn, shape):  # (n_theta, n_states) + shape
+        return np.stack([eval_path(model, fn, xs, shape, th) for th in thetas])
+
+    drifts = table(model.drift, (d,))
     lip = 0.0
     for _ in range(probe.n_pairs):
         i, j = rng.integers(0, len(xs), size=2)
         if np.allclose(xs[i], xs[j]):
             continue
-        th = thetas[rng.integers(0, probe.n_theta)]
-        num = np.linalg.norm(
-            np.asarray(model.drift(xs[i], th)) - np.asarray(model.drift(xs[j], th))
-        )
+        t = rng.integers(0, probe.n_theta)
+        num = np.linalg.norm(drifts[t, i] - drifts[t, j])
         lip = max(lip, num / np.linalg.norm(xs[i] - xs[j]))
 
-    growth = {(0, 0): 0.0, (0, 1): 0.0, (1, 0): 0.0, (2, 0): 0.0, (3, 0): 0.0, (4, 0): 0.0}
-    ell_min = np.inf
-    sig_bound = 0.0
+    # |x| per state; the stacked matmul rounds as np.linalg.norm(x) does
+    norms = np.sqrt((xs[:, None, :] @ xs[:, :, None]).ravel())
+    wt = 1.0 + norms**probe.growth_exponent
+
+    def peak(vals):  # max over draws and states of max|vals| / (1 + |x|^N)
+        return float(np.max(np.abs(vals).reshape(vals.shape[:2] + (-1,)).max(axis=-1) / wt))
+
+    growth = {(0, 0): peak(drifts), (0, 1): peak(table(model.drift_dx, (d, d)))}
+    for k in range(1, 5):
+        growth[(k, 0)] = peak(table(model.drift_dtheta[k - 1], (d,) + (m,) * k))
+
+    sig = eval_path(model, model.diffusion, xs, (d, r))
+    dsig = eval_path(model, model.diffusion_dx, xs, (d, r, d))
+    ddsig = eval_path(model, model.diffusion_dxx, xs, (d, r, d, d))
+    sig_bound = max(float(np.max(np.abs(v))) for v in (sig, dsig, ddsig))
+    a = sig @ np.swapaxes(sig, 1, 2)
+    det = np.linalg.det(a)
+    ell_min = float(np.min(det))
+    ok = det > ELLIPTICITY_FLOOR
     ac_growth = 0.0
-    for x in xs:
-        wt = 1.0 + np.linalg.norm(x) ** probe.growth_exponent
-        sig = eval_diffusion(model, x)
-        dsig = np.asarray(model.diffusion_dx(x), dtype=float)
-        ddsig = np.asarray(model.diffusion_dxx(x), dtype=float)
-        sig_bound = max(
-            sig_bound, np.max(np.abs(sig)), np.max(np.abs(dsig)), np.max(np.abs(ddsig))
-        )
-        a = sig @ sig.T
-        det = float(np.linalg.det(a))
-        ell_min = min(ell_min, det)
-        for th in thetas:
-            growth[(0, 0)] = max(growth[(0, 0)], np.max(np.abs(model.drift(x, th))) / wt)
-            growth[(0, 1)] = max(growth[(0, 1)], np.max(np.abs(model.drift_dx(x, th))) / wt)
-            for k in range(1, 5):
-                dk = np.asarray(model.drift_dtheta[k - 1](x, th), dtype=float)
-                growth[(k, 0)] = max(growth[(k, 0)], np.max(np.abs(dk)) / wt)
-            if det > probe.ellipticity_floor:
-                f = sig.T @ np.linalg.inv(a)
-                val = np.linalg.norm(f @ np.asarray(model.drift(x, th), dtype=float))
-                ac_growth = max(ac_growth, val / (1.0 + np.linalg.norm(x) ** probe.ac_exponent))
+    if np.any(ok):
+        f = np.swapaxes(sig[ok], 1, 2) @ np.linalg.inv(a[ok])  # sigma* A^-1
+        vals = np.linalg.norm(np.einsum("kia,tka->tki", f, drifts[:, ok]), axis=-1)
+        ac_growth = float(np.max(vals / (1.0 + norms[ok] ** probe.ac_exponent)))
 
     flags = {
-        "lipschitz": bool(np.isfinite(lip) and lip <= probe.lipschitz_max),
-        "polynomial_growth": bool(all(v <= probe.polygrowth_max for v in growth.values())),
-        "ellipticity": bool(ell_min > probe.ellipticity_floor),
-        "diffusion_bounded": bool(sig_bound <= probe.diffusion_bound_max),
+        "lipschitz": bool(np.isfinite(lip) and lip <= PROBE_BOUND),
+        "polynomial_growth": bool(all(v <= PROBE_BOUND for v in growth.values())),
+        "ellipticity": bool(ell_min > ELLIPTICITY_FLOOR),
+        "diffusion_bounded": bool(sig_bound <= PROBE_BOUND),
     }
     return AssumptionReport(
         model_name=model.name,
         lipschitz_estimate=float(lip),
-        polygrowth_estimate={k: float(v) for k, v in growth.items()},
-        ellipticity_min=float(ell_min),
-        diffusion_bound_estimate=float(sig_bound),
-        ac_growth_estimate=float(ac_growth),
+        polygrowth_estimate=growth,
+        ellipticity_min=ell_min,
+        diffusion_bound_estimate=sig_bound,
+        ac_growth_estimate=ac_growth,
         pass_flags=flags,
     )
 
 
-def finite_difference_check(model: ModelSpec, n_probes: int = 50, seed: int = 0, step: float = 1e-5):
+def finite_difference_check(model: ModelSpec, n_probes: int = 50, seed: int = 0):
     """Max relative error of drift_dx and drift_dtheta[0] vs central differences."""
+    step = 1e-5
     rng = Generator(Philox(SeedSequence(entropy=(int(seed), 0xFD))))
     dom = model.theta_domain
     worst_dx = 0.0
@@ -344,6 +348,14 @@ def _zeros_theta_derivs(d: int, m: int, from_order: int):
     return tuple(make(k) for k in range(from_order, 5))
 
 
+# sigma == 1 in one dimension, shared by linear1d, const1d and zero1d
+_UNIT_NOISE = dict(
+    diffusion=lambda x: _batched(x, (1, 1), np.array([[1.0]])),
+    diffusion_dx=lambda x: _batched(x, (1, 1, 1), np.zeros((1, 1, 1))),
+    diffusion_dxx=lambda x: _batched(x, (1, 1, 1, 1), np.zeros((1, 1, 1, 1))),
+)
+
+
 def _linear1d() -> ModelSpec:
     def drift(x, th):
         return -th[0] * np.asarray(x, dtype=float)
@@ -366,9 +378,7 @@ def _linear1d() -> ModelSpec:
         drift=drift,
         drift_dx=drift_dx,
         drift_dtheta=(dth1,) + _zeros_theta_derivs(1, 1, 2),
-        diffusion=lambda x: _batched(x, (1, 1), np.array([[1.0]])),
-        diffusion_dx=lambda x: _batched(x, (1, 1, 1), np.zeros((1, 1, 1))),
-        diffusion_dxx=lambda x: _batched(x, (1, 1, 1, 1), np.zeros((1, 1, 1, 1))),
+        **_UNIT_NOISE,
         vectorized=True,
         theta_linear=True,
     )
@@ -447,9 +457,7 @@ def _const1d() -> ModelSpec:
         drift_dx=lambda x, th: _batched(x, (1, 1), np.zeros((1, 1))),
         drift_dtheta=(lambda x, th: _batched(x, (1, 1), np.ones((1, 1))),)
         + _zeros_theta_derivs(1, 1, 2),
-        diffusion=lambda x: _batched(x, (1, 1), np.array([[1.0]])),
-        diffusion_dx=lambda x: _batched(x, (1, 1, 1), np.zeros((1, 1, 1))),
-        diffusion_dxx=lambda x: _batched(x, (1, 1, 1, 1), np.zeros((1, 1, 1, 1))),
+        **_UNIT_NOISE,
         vectorized=True,
         theta_linear=True,
     )
@@ -466,9 +474,7 @@ def _zero1d() -> ModelSpec:
         drift=lambda x, th: _batched(x, (1,), np.zeros(1)),
         drift_dx=lambda x, th: _batched(x, (1, 1), np.zeros((1, 1))),
         drift_dtheta=_zeros_theta_derivs(1, 1, 1),
-        diffusion=lambda x: _batched(x, (1, 1), np.array([[1.0]])),
-        diffusion_dx=lambda x: _batched(x, (1, 1, 1), np.zeros((1, 1, 1))),
-        diffusion_dxx=lambda x: _batched(x, (1, 1, 1, 1), np.zeros((1, 1, 1, 1))),
+        **_UNIT_NOISE,
         vectorized=True,
         theta_linear=True,
     )

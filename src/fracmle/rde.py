@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .controlled import ControlledPath
+from .controlled import ControlledPath, controlled_compose
 from .errors import DivergenceError, InputError
 from .fbm import RoughPath, TimeGrid
 from .model import ModelSpec, eval_path
@@ -29,9 +29,7 @@ class Trajectory:
     states: np.ndarray  # (n_coarse + 1, d)
     epsilon: float
     theta_used: tuple
-    seed: object
     grid: TimeGrid
-    driver: RoughPath | None = None
 
     @property
     def d(self) -> int:
@@ -52,14 +50,7 @@ def _check_x0(model: ModelSpec, x0) -> np.ndarray:
     return x0
 
 
-def solve_rde(
-    model: ModelSpec,
-    theta,
-    epsilon: float,
-    rp: RoughPath,
-    x0,
-    seed=None,
-) -> Trajectory:
+def solve_rde(model: ModelSpec, theta, epsilon: float, rp: RoughPath, x0) -> Trajectory:
     """Solve the rough SDE along a sampled driver; eps = 0 reduces to the Euler drift flow."""
     theta = model.check_theta(theta)
     if not 0.0 <= epsilon <= 1.0:
@@ -91,12 +82,7 @@ def solve_rde(
         states[k + 1] = x
     states.setflags(write=False)
     return Trajectory(
-        states=states,
-        epsilon=float(epsilon),
-        theta_used=tuple(theta.tolist()),
-        seed=seed,
-        grid=grid,
-        driver=rp,
+        states=states, epsilon=float(epsilon), theta_used=tuple(theta.tolist()), grid=grid
     )
 
 
@@ -140,8 +126,6 @@ def trajectory_as_controlled(traj: Trajectory, model: ModelSpec, rp: RoughPath) 
 
 def sigma_controlled(traj: Trajectory, model: ModelSpec, rp: RoughPath) -> ControlledPath:
     """sigma(X) as a controlled path with Gubinelli derivative eps (grad sigma) sigma."""
-    from .controlled import controlled_compose
-
     state_cp = trajectory_as_controlled(traj, model, rp)
     return controlled_compose(model.diffusion, model.diffusion_dx, state_cp)
 
@@ -153,19 +137,16 @@ def dump_trajectory_csv(traj: Trajectory, fname) -> None:
 
 
 def load_trajectory_csv(fname, grid: TimeGrid, epsilon: float) -> Trajectory:
-    data = np.loadtxt(fname, delimiter=",", skiprows=1, ndmin=2)
+    try:
+        data = np.loadtxt(fname, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError as exc:
+        raise InputError(f"trajectory file {fname} is not a numeric CSV: {exc}") from None
     if data.shape[0] != grid.n_coarse + 1:
         raise InputError(
             f"trajectory file has {data.shape[0]} rows, grid expects {grid.n_coarse + 1}"
         )
-    t = data[:, 0]
-    if not np.allclose(t, grid.coarse_nodes(), atol=1e-10 * max(1.0, grid.T)):
+    if not np.all(np.isfinite(data)):
+        raise InputError(f"trajectory file {fname} has non-finite values")
+    if not np.allclose(data[:, 0], grid.coarse_nodes(), atol=1e-10 * max(1.0, grid.T)):
         raise InputError("trajectory file nodes do not match the configured grid")
-    return Trajectory(
-        states=data[:, 1:],
-        epsilon=float(epsilon),
-        theta_used=(),
-        seed=None,
-        grid=grid,
-        driver=None,
-    )
+    return Trajectory(states=data[:, 1:], epsilon=float(epsilon), theta_used=(), grid=grid)

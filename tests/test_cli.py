@@ -113,7 +113,7 @@ def test_estimate_const_drift_closed_form(tmp_path):
     hv = HurstVector((0.4,))
     grid = TimeGrid(1.0, 256, 0)
     rp = lift(sample_fbm(hv, grid, 21), grid)
-    traj = solve_rde(model, [0.7], 0.1, rp, [0.0], seed=21)
+    traj = solve_rde(model, [0.7], 0.1, rp, [0.0])
     ctx = build_context(traj, model, hv)
     q1 = compute_Q(traj.states, model, [1.0], 0.1, hv, ctx.plans)
     w = np.full(257, grid.dt)
@@ -310,11 +310,31 @@ def test_selftest_passes():
     assert "[PASS]" in res.stdout and "[FAIL]" not in res.stdout
 
 
-def test_cli_import_leaves_out_scipy_signal_and_stats():
+def test_cli_import_leaves_out_heavy_scipy_modules():
     # module presence, not wall-clock time
-    probe = (
-        "import sys, fracmle.cli; "
-        "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))"
+    heavy = (
+        "scipy.signal", "scipy.stats", "scipy.integrate", "scipy.optimize", "scipy.linalg", "scipy.sparse"
     )
+    probe = f"import sys, fracmle.cli; print(sorted(m for m in {heavy!r} if m in sys.modules))"
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("kind", ["two_columns", "t_only", "nan", "ragged", "text"])
+def test_estimate_malformed_trajectory_file_is_typed_error(tmp_path, linear_config, kind):
+    cfg, _ = linear_config
+    nodes = [repr(t) for t in np.linspace(0.0, 1.0, 129).tolist()]
+    rows = {
+        "two_columns": [f"{t},{t},{t}" for t in nodes],
+        "t_only": nodes,
+        "nan": [f"{t},nan" for t in nodes],
+        "ragged": [f"{t},1.0" + (",2.0" if k == 3 else "") for k, t in enumerate(nodes)],
+        "text": [f"{t},abc" for t in nodes],
+    }[kind]
+    bad = tmp_path / f"{kind}.csv"
+    bad.write_text("\n".join(["t,X1"] + rows) + "\n")
+    res = run_cli("estimate", "--config", str(cfg), "--trajectory", str(bad))
+    assert res.returncode == 1
+    assert res.stderr.startswith("error: InputError")
+    assert "Traceback" not in res.stderr
+    assert ("state columns" if kind in ("two_columns", "t_only") else bad.name) in res.stderr

@@ -86,9 +86,9 @@ def test_row_sums_exact_on_ones():
     for alpha, n in ((0.1, 512), (0.2, 1024)):
         plan = _plan(alpha, n)
         nodes = plan.grid.coarse_nodes()
-        left = plan.left_row_sums()
+        left = rl_integral_left(plan, np.ones(n + 1))
         assert np.max(np.abs(left - nodes**alpha / G(1 + alpha))) <= 1e-10
-        right = plan.right_row_sums()
+        right = rl_integral_right(plan, np.ones(n + 1))
         assert np.max(np.abs(right - (1.0 - nodes) ** alpha / G(1 + alpha))) <= 1e-10
 
 
@@ -257,3 +257,29 @@ def test_plan_cache_returns_same_object():
     a = get_plan(0.45, 1.0, 128)
     b = get_plan(0.45, 1.0, 128)
     assert a is b
+
+
+def _rl_direct(plan, f):
+    """I^a_{0+} f by direct convolution with the product-integration weights."""
+    n = plan.grid.n_coarse
+    A, C = plan.weights_left
+    out = np.convolve(f, A)[: n + 1] + np.convolve(f[1:], C)[: n + 1]
+    out[0] = 0.0
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 31, 64, 255])
+def test_short_grids_match_direct_convolution(n):
+    rng = np.random.default_rng(n)
+    for alpha in (0.01, 0.1, 0.3, 0.6, 0.9):
+        plan = _plan(alpha, n)
+        f = rng.standard_normal(n + 1)
+        ref = _rl_direct(plan, f)
+        assert np.max(np.abs(rl_integral_left(plan, f) - ref)) <= 1e-14 * np.max(np.abs(ref))
+    for hurst in (0.34, 0.4, 0.49):
+        plan = FracKernelPlan.build(hurst, TimeGrid(1.0, n, 0))
+        nodes = plan.grid.coarse_nodes()
+        g = rng.standard_normal(n + 1)
+        ref = np.zeros(n + 1)
+        ref[1:] = 0.7 * nodes[1:] ** (-plan.alpha) * _rl_direct(plan, nodes**plan.alpha * g)[1:]
+        assert np.max(np.abs(q_transform(plan, g, 0.7) - ref)) <= 1e-14 * np.max(np.abs(ref))

@@ -1,5 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox, SeedSequence
 
 from fracmle import (
     EllipticityError,
@@ -14,7 +17,7 @@ from fracmle import (
     probe_assumptions,
     register,
 )
-from fracmle.model import finite_difference_check, sigma_weighted, weighted_path
+from fracmle.model import AssumptionReport, finite_difference_check, sigma_weighted, weighted_path
 
 
 def test_registry_builtins():
@@ -180,3 +183,76 @@ def test_domain_override():
     assert not model.contains_theta([2.0])
     with pytest.raises(InputError):
         get_model("linear1d").with_domain([[2.0, 1.0]])
+
+
+def _probe_reference(model, probe, seed):
+    """The assumption probe as a loop of single-state callback calls."""
+    rng = Generator(Philox(SeedSequence(entropy=(int(seed), 0xA55E))))
+    per_axis = max(3, round(probe.n_points ** (1.0 / model.d)))
+    if per_axis % 2 == 0:
+        per_axis += 1
+    axis = np.linspace(probe.lo, probe.hi, per_axis)
+    xs = np.stack([g.ravel() for g in np.meshgrid(*([axis] * model.d), indexing="ij")], axis=-1)
+    dom = model.theta_domain
+    thetas = rng.uniform(dom[:, 0], dom[:, 1], size=(probe.n_theta, model.m))
+    lip = 0.0
+    for _ in range(probe.n_pairs):
+        i, j = rng.integers(0, len(xs), size=2)
+        if np.allclose(xs[i], xs[j]):
+            continue
+        th = thetas[rng.integers(0, probe.n_theta)]
+        num = np.linalg.norm(np.asarray(model.drift(xs[i], th)) - np.asarray(model.drift(xs[j], th)))
+        lip = max(lip, num / np.linalg.norm(xs[i] - xs[j]))
+    growth = {(0, 0): 0.0, (0, 1): 0.0, (1, 0): 0.0, (2, 0): 0.0, (3, 0): 0.0, (4, 0): 0.0}
+    ell_min, sig_bound, ac_growth = np.inf, 0.0, 0.0
+    for x in xs:
+        wt = 1.0 + np.linalg.norm(x) ** probe.growth_exponent
+        sig = eval_diffusion(model, x)
+        dsig = np.asarray(model.diffusion_dx(x), dtype=float)
+        ddsig = np.asarray(model.diffusion_dxx(x), dtype=float)
+        sig_bound = max(sig_bound, np.max(np.abs(sig)), np.max(np.abs(dsig)), np.max(np.abs(ddsig)))
+        a = sig @ sig.T
+        det = float(np.linalg.det(a))
+        ell_min = min(ell_min, det)
+        for th in thetas:
+            growth[(0, 0)] = max(growth[(0, 0)], np.max(np.abs(model.drift(x, th))) / wt)
+            growth[(0, 1)] = max(growth[(0, 1)], np.max(np.abs(model.drift_dx(x, th))) / wt)
+            for k in range(1, 5):
+                dk = np.asarray(model.drift_dtheta[k - 1](x, th), dtype=float)
+                growth[(k, 0)] = max(growth[(k, 0)], np.max(np.abs(dk)) / wt)
+            if det > 1e-12:
+                f = sig.T @ np.linalg.inv(a)
+                val = np.linalg.norm(f @ np.asarray(model.drift(x, th), dtype=float))
+                ac_growth = max(ac_growth, val / (1.0 + np.linalg.norm(x) ** probe.ac_exponent))
+    flags = {
+        "lipschitz": bool(np.isfinite(lip) and lip <= 1e6),
+        "polynomial_growth": bool(all(v <= 1e6 for v in growth.values())),
+        "ellipticity": bool(ell_min > 1e-12),
+        "diffusion_bounded": bool(sig_bound <= 1e6),
+    }
+    return AssumptionReport(
+        model.name, float(lip), {k: float(v) for k, v in growth.items()}, float(ell_min),
+        float(sig_bound), float(ac_growth), flags,
+    )
+
+
+_PROBE_MODELS = ["linear1d", "cross2d", "const1d", "zero1d", "geom1d", "cross2d-loop"]
+_PROBES = [
+    ProbeConfig(),
+    ProbeConfig(lo=-1.0, hi=2.0, n_points=50, n_pairs=60, n_theta=5, growth_exponent=2.0, ac_exponent=0.5),
+]
+
+
+@pytest.mark.parametrize("probe", _PROBES, ids=["default", "narrow"])
+@pytest.mark.parametrize("name", _PROBE_MODELS)
+def test_probe_matches_single_state_reference(name, probe):
+    # stacked calls read the same callback values; only the weighted-drift
+    # norm may round differently
+    if name == "cross2d-loop":
+        model = dataclasses.replace(get_model("cross2d"), vectorized=False)
+    else:
+        model = get_model(name)
+    got = probe_assumptions(model, probe, seed=3)
+    ref = _probe_reference(model, probe, seed=3)
+    assert got.ac_growth_estimate == pytest.approx(ref.ac_growth_estimate, rel=1e-14, abs=0.0)
+    assert dataclasses.replace(got, ac_growth_estimate=0.0) == dataclasses.replace(ref, ac_growth_estimate=0.0)
