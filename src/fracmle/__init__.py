@@ -76,7 +76,6 @@ from .inference import (
     compute_Q,
     gamma_matrix,
     grad_log_likelihood,
-    hessian_log_likelihood,
     identifiability_scan,
     likelihood_parts,
     log_likelihood,

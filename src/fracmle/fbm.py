@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -214,12 +215,17 @@ def sample_fbm(hurst: HurstVector, grid: TimeGrid, seed) -> np.ndarray:
     Components are independent; the stream of component i is derived from
     (seed, i) through a counter-based splittable generator, so samples are
     reproducible and independent of any parallel execution layout. seed
-    may be an int or a tuple of ints (e.g. (study_seed, replicate_id)).
+    may be a non-negative int or a tuple of them (e.g. (study_seed, replicate_id)).
     """
     n = grid.n_fine
     if n > MAX_FINE_STEPS:
         raise ResourceError(f"fine grid of {n} steps exceeds limit {MAX_FINE_STEPS}")
-    entropy = (seed,) if isinstance(seed, int) else tuple(int(s) for s in seed)
+    try:
+        entropy = tuple(map(operator.index, (seed,) if np.ndim(seed) == 0 else seed))
+        if min(entropy, default=0) < 0:
+            raise ValueError
+    except (TypeError, ValueError):
+        raise InputError(f"seed must be a non-negative integer or a tuple of them, got {seed!r}") from None
     scale = grid.dt_fine
     path = np.zeros((n + 1, hurst.r))
     for i, h in enumerate(hurst):

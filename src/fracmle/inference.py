@@ -249,10 +249,6 @@ def grad_log_likelihood(ctx: LikelihoodContext, theta) -> np.ndarray:
     return likelihood_parts(ctx, theta, order=1)[1]
 
 
-def hessian_log_likelihood(ctx: LikelihoodContext, theta) -> np.ndarray:
-    return likelihood_parts(ctx, theta, order=2)[2]
-
-
 def _latin_hypercube_starts(model: ModelSpec, n_starts: int) -> np.ndarray:
     """theta_0-agnostic stratified starts over the box, fixed internal stream."""
     rng = Generator(Philox(SeedSequence(entropy=(0x57A275, n_starts, model.m))))
@@ -441,7 +437,13 @@ def verify_transfer_identity(traj: Trajectory, model: ModelSpec, rp: RoughPath) 
     eps = traj.epsilon
     if eps <= 0:
         raise InputError("transfer identity requires epsilon > 0")
-    theta0 = np.asarray(traj.theta_used, dtype=float)
+    if len(traj.theta_used) == 0:
+        raise InputError("trajectory has no generating theta (a loaded trajectory records none)")
+    theta0 = model.check_theta(traj.theta_used)
+    if rp.r != model.r:
+        raise InputError(f"driver has {rp.r} components, model expects {model.r}")
+    if (rp.grid.T, rp.grid.n_coarse) != (traj.grid.T, traj.grid.n_coarse):
+        raise InputError("driver and trajectory live on different coarse grids")
     states = traj.states
     d, r = model.d, model.r
     f, _ = weighted_path(model, states)

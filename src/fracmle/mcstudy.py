@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import inspect
 import json
 import logging
 import os
@@ -24,7 +23,6 @@ from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
-from numpy.random import Generator, Philox, SeedSequence
 
 from . import __version__
 from .errors import ConfigError, FracmleError, InputError, StandardizationError
@@ -121,7 +119,6 @@ class NormalityReport:
     cov_rel_error: float
     skewness: np.ndarray
     excess_kurtosis: np.ndarray
-    anderson_darling: np.ndarray
     degenerate: bool
 
 
@@ -135,16 +132,10 @@ class EpsSummary:
     cov_rel_error: float
     skewness: np.ndarray
     excess_kurtosis: np.ndarray
-    anderson_darling: np.ndarray
-    mean_abs_u: float
     mean_sq_u: float
-    ref_abs_u: float
-    ref_sq_u: float
     mean_sup_dist: float
     score_mean: np.ndarray
     score_cov: np.ndarray
-    boundary_fraction: float
-    degenerate: bool
 
 
 @dataclass(frozen=True)
@@ -228,12 +219,22 @@ def _moments(samples: np.ndarray, gamma_inv: np.ndarray) -> tuple:
     return mean, cov, cov_rel, degenerate
 
 
+def _skew_kurtosis(std: np.ndarray) -> tuple:
+    """Per-column skewness and excess kurtosis of (n, m) standardized samples."""
+    # imported here so that importing the package does not load scipy.stats
+    from scipy import stats as sp_stats
+
+    m = std.shape[1]
+    skew = np.array([float(sp_stats.skew(std[:, j])) for j in range(m)])
+    kurt = np.array([float(sp_stats.kurtosis(std[:, j], fisher=True)) for j in range(m)])
+    return skew, kurt
+
+
 def normality_report(samples: np.ndarray, gamma: GammaMatrix) -> NormalityReport:
     """Moment diagnostics of normalized errors against N(0, Gamma^-1).
 
-    Samples are standardized through the symmetric square root of Gamma;
-    Anderson-Darling statistics are reported per coordinate but not gated
-    (moment checks are the robust desk-scale diagnostic).
+    Samples are standardized through the symmetric square root of Gamma
+    for the skewness and excess kurtosis.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.ndim == 1:
@@ -241,78 +242,35 @@ def normality_report(samples: np.ndarray, gamma: GammaMatrix) -> NormalityReport
     n, m = samples.shape
     if n < 30:
         raise InputError(f"need at least 30 samples, got {n}")
-    std = samples @ symmetric_sqrt(gamma.matrix)
+    root = symmetric_sqrt(gamma.matrix)  # before inv: a singular Gamma is a StandardizationError
     mean, cov, cov_rel, degenerate = _moments(samples, np.linalg.inv(gamma.matrix))
-    if degenerate:
-        skew = kurt = ad = np.full(m, np.nan)
-    else:
-        # imported here so that importing the package does not load scipy.stats
-        from scipy import stats as sp_stats
-
-        # SciPy 1.17 asks for an explicit p-value method and warns without one;
-        # older releases lack the keyword. The statistic does not depend on it.
-        params = inspect.signature(sp_stats.anderson).parameters
-        anderson_kw = {"method": "interpolate"} if "method" in params else {}
-        skew = np.array([float(sp_stats.skew(std[:, j])) for j in range(m)])
-        kurt = np.array([float(sp_stats.kurtosis(std[:, j], fisher=True)) for j in range(m)])
-        ad = np.array(
-            [float(sp_stats.anderson(std[:, j], dist="norm", **anderson_kw).statistic) for j in range(m)]
-        )
-    return NormalityReport(
-        n=n,
-        mean=mean,
-        cov=cov,
-        cov_rel_error=cov_rel,
-        skewness=skew,
-        excess_kurtosis=kurt,
-        anderson_darling=ad,
-        degenerate=degenerate,
-    )
-
-
-def gaussian_reference_moments(gamma_inv: np.ndarray) -> tuple:
-    """(E|x|, E|x|^2) for x ~ N(0, gamma_inv); closed form in one dimension."""
-    m = gamma_inv.shape[0]
-    if not np.all(np.isfinite(gamma_inv)):
-        return np.nan, np.nan
-    trace = float(np.trace(gamma_inv))
-    if m == 1:
-        return float(np.sqrt(2.0 * gamma_inv[0, 0] / np.pi)), trace
-    rng = Generator(Philox(SeedSequence(entropy=(0x6A0551, m))))
-    root = symmetric_sqrt(gamma_inv)
-    draws = rng.standard_normal((100_000, m)) @ root
-    return float(np.mean(np.linalg.norm(draws, axis=1))), trace
+    skew = kurt = np.full(m, np.nan)
+    if not degenerate:
+        skew, kurt = _skew_kurtosis(samples @ root)
+    return NormalityReport(n, mean, cov, cov_rel, skew, kurt, degenerate)
 
 
 def summarize_epsilon(
-    epsilon: float, results: list, gamma: GammaMatrix, gamma_inv: np.ndarray, reference: tuple
+    epsilon: float, results: list, gamma: GammaMatrix, gamma_inv: np.ndarray
 ) -> EpsSummary:
-    """Moments and diagnostics of one epsilon level; reference is the
-    (E|x|, E|x|^2) pair of gaussian_reference_moments(gamma_inv)."""
+    """Moments of one epsilon level. Skewness and kurtosis need at least 30
+    successes, a positive definite Gamma and a non-degenerate covariance;
+    a singular Gamma comes with a NaN gamma_inv, so cov_rel is NaN too."""
     ok = [res for res in results if not res.failed]
     n_failed = len(results) - len(ok)
     m = gamma.matrix.shape[0]
+    nan_v = np.full(m, np.nan)
     if len(ok) < 2:
-        nan_v = np.full(m, np.nan)
         nan_m = np.full((m, m), np.nan)
         return EpsSummary(
-            epsilon, len(ok), n_failed, nan_v, nan_m, np.nan, nan_v, nan_v, nan_v,
-            np.nan, np.nan, np.nan, np.nan, np.nan, nan_v, nan_m, np.nan, True,
+            epsilon, len(ok), n_failed, nan_v, nan_m, np.nan, nan_v, nan_v, np.nan, np.nan, nan_v, nan_m
         )
     us = np.array([res.record.u for res in ok])
     scores = np.array([res.score for res in ok])
-    sups = np.array([res.sup_dist for res in ok])
-    if len(ok) >= 30 and gamma.a5_ok:
-        report = normality_report(us, gamma)
-        mean, cov, cov_rel = report.mean, report.cov, report.cov_rel_error
-        skew, kurt, ad = report.skewness, report.excess_kurtosis, report.anderson_darling
-        degenerate = report.degenerate
-    else:
-        # too few samples (or a singular information matrix, whose NaN
-        # inverse makes cov_rel NaN) for the distributional diagnostics
-        mean, cov, cov_rel, degenerate = _moments(us, gamma_inv)
-        skew = kurt = ad = np.full(m, np.nan)
-    boundary = float(np.mean([res.record.boundary_flag for res in ok]))
+    mean, cov, cov_rel, degenerate = _moments(us, gamma_inv)
+    skew = kurt = nan_v
+    if len(ok) >= 30 and gamma.a5_ok and not degenerate:
+        skew, kurt = _skew_kurtosis(us @ symmetric_sqrt(gamma.matrix))
     return EpsSummary(
         epsilon=float(epsilon),
         n_ok=len(ok),
@@ -322,16 +280,10 @@ def summarize_epsilon(
         cov_rel_error=cov_rel,
         skewness=skew,
         excess_kurtosis=kurt,
-        anderson_darling=ad,
-        mean_abs_u=float(np.mean(np.linalg.norm(us, axis=1))),
         mean_sq_u=float(np.mean(np.sum(us**2, axis=1))),
-        ref_abs_u=reference[0],
-        ref_sq_u=reference[1],
-        mean_sup_dist=float(np.mean(sups)),
+        mean_sup_dist=float(np.mean([res.sup_dist for res in ok])),
         score_mean=scores.mean(axis=0),
         score_cov=np.cov(scores, rowvar=False, ddof=1).reshape(m, m),
-        boundary_fraction=boundary,
-        degenerate=degenerate,
     )
 
 
@@ -385,10 +337,7 @@ def run_study(cfg: StudyConfig) -> StudySummary:
         # information matrix degenerate: report raw moments, no standardization
         log.warning("information matrix is singular; normalized diagnostics unavailable")
         gamma_inv = np.full_like(gamma.matrix, np.nan)
-    reference = gaussian_reference_moments(gamma_inv)
-    per_eps = tuple(
-        summarize_epsilon(eps, by_eps[eps], gamma, gamma_inv, reference) for eps in epsilons
-    )
+    per_eps = tuple(summarize_epsilon(eps, by_eps[eps], gamma, gamma_inv) for eps in epsilons)
     n_total = len(tasks)
     n_failed = sum(1 for res in results if res.failed)
     valid = n_failed <= MAX_FAILED_FRACTION * n_total

@@ -82,6 +82,15 @@ def test_sampler_deterministic(h04):
     assert not np.array_equal(a, c)
 
 
+def test_sampler_reads_numpy_integer_seeds(h04):
+    grid = TimeGrid(1.0, 32, 1)
+    assert np.array_equal(sample_fbm(h04, grid, np.int64(3)), sample_fbm(h04, grid, 3))
+    assert np.array_equal(sample_fbm(h04, grid, (np.int64(9), 1)), sample_fbm(h04, grid, (9, 1)))
+    for bad in (3.5, (9, 1.5), "seed", -1, (9, -1)):
+        with pytest.raises(InputError):
+            sample_fbm(h04, grid, bad)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(
     hurst=st.floats(1.0 / 3.0, 0.5, exclude_min=True, exclude_max=True),

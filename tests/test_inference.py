@@ -36,6 +36,7 @@ from fracmle import (
 from fracmle import inference
 from fracmle.inference import _latin_hypercube_starts, plans_for
 from fracmle.model import _zeros_theta_derivs, sigma_weighted
+from fracmle.rde import dump_trajectory_csv, load_trajectory_csv
 
 from conftest import sampled_lift, trapezoid_weights
 
@@ -583,6 +584,23 @@ def test_transfer_identity_matches_per_node_loop():
         total += model.diffusion(x) @ dy[k] + 0.1 * np.einsum("aij,ji->a", g, area)
     expect = np.linalg.norm(0.1 * total - (traj.states[-1] - traj.states[0]))
     assert verify_transfer_identity(traj, model, rp) == pytest.approx(expect, rel=0, abs=1e-12)
+
+
+def test_transfer_identity_rejects_mismatched_inputs(tmp_path):
+    grid = TimeGrid(1.0, 256, 0)
+    rp = sampled_lift(H04, grid, 85)
+    traj = solve_rde(LIN, TH0, 0.1, rp, X0)
+    dump_trajectory_csv(traj, tmp_path / "traj.csv")
+    loaded = load_trajectory_csv(tmp_path / "traj.csv", grid, 0.1)
+    with pytest.raises(InputError, match="no generating theta"):
+        verify_transfer_identity(loaded, LIN, rp)
+    with pytest.raises(InputError, match="coarse grids"):
+        verify_transfer_identity(traj, LIN, sampled_lift(H04, TimeGrid(1.0, 128, 0), 85))
+    with pytest.raises(InputError, match="components"):
+        verify_transfer_identity(traj, LIN, sampled_lift(HurstVector((0.4, 0.4)), grid, 85))
+    # only the coarse increments and areas enter, so a refined driver is valid
+    fine = sampled_lift(H04, TimeGrid(1.0, 256, 2), 85)
+    assert verify_transfer_identity(solve_rde(LIN, TH0, 0.1, fine, X0), LIN, fine) <= 0.05
 
 
 # ---------------------------------------------------------------- field convergence

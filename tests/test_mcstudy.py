@@ -1,14 +1,14 @@
 import json
-import warnings
 
 import numpy as np
 import pytest
-from scipy import stats as sp_stats
 
 from fracmle import (
+    EstimateRecord,
     GammaMatrix,
     HurstVector,
     InputError,
+    ReplicateResult,
     StandardizationError,
     StudyConfig,
     TimeGrid,
@@ -18,7 +18,7 @@ from fracmle import (
     run_replicate,
     run_study,
 )
-from fracmle.mcstudy import gaussian_reference_moments, symmetric_sqrt
+from fracmle.mcstudy import summarize_epsilon, symmetric_sqrt
 
 
 def _small_cfg(tmp_path=None, **kw):
@@ -166,23 +166,6 @@ def test_normality_report_self_test():
     assert not rep.degenerate
 
 
-def test_normality_report_anderson_without_future_warning():
-    rng = np.random.default_rng(11)
-    matrix = np.array([[2.0, 0.3], [0.3, 1.0]])
-    gamma = GammaMatrix(
-        matrix=matrix, hurst=None, theta0=(1.0, 2.0), min_eigenvalue=0.9, a5_ok=True
-    )
-    samples = rng.standard_normal((60, 2)) @ symmetric_sqrt(np.linalg.inv(matrix))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", FutureWarning)
-        rep = normality_report(samples, gamma)
-    std = samples @ symmetric_sqrt(matrix)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        expect = [float(sp_stats.anderson(std[:, j], dist="norm").statistic) for j in range(2)]
-    assert rep.anderson_darling.tolist() == expect
-
-
 def test_normality_report_constant_samples_degenerate():
     gamma = GammaMatrix(
         matrix=np.array([[1.0]]), hurst=None, theta0=(1.0,), min_eigenvalue=1.0, a5_ok=True
@@ -218,41 +201,44 @@ def test_normality_report_min_samples():
         normality_report(np.zeros((10, 1)), gamma)
 
 
-def test_gaussian_reference_moments_1d():
-    ginv = np.array([[2.0]])
-    eabs, esq = gaussian_reference_moments(ginv)
-    assert esq == pytest.approx(2.0)
-    assert eabs == pytest.approx(np.sqrt(4.0 / np.pi), rel=1e-12)
+def _packed(us: np.ndarray) -> list:
+    """Normalized errors packed as successful replicates."""
+    return [
+        ReplicateResult(
+            rid, 0.1, False, None,
+            EstimateRecord(tuple(u), tuple(u), True, False, iterations=1, loglik=0.0),
+            score=tuple(u), sup_dist=0.0,
+        )
+        for rid, u in enumerate(us)
+    ]
 
 
-def test_gaussian_reference_moments_2d_mc():
-    ginv = np.diag([1.0, 4.0])
-    eabs, esq = gaussian_reference_moments(ginv)
-    assert esq == pytest.approx(5.0)
-    # oracle via polar MC with another generator
-    rng = np.random.default_rng(10)
-    draws = rng.standard_normal((200_000, 2)) * np.sqrt(np.diag(ginv))
-    assert eabs == pytest.approx(np.mean(np.linalg.norm(draws, axis=1)), rel=0.01)
-
-
-def test_reference_moments_computed_once_per_study(monkeypatch):
-    import fracmle.mcstudy as mcstudy
-
-    real = mcstudy.gaussian_reference_moments
-    calls = []
-
-    def counted(gamma_inv, *args, **kwargs):
-        calls.append(gamma_inv)
-        return real(gamma_inv, *args, **kwargs)
-
-    monkeypatch.setattr(mcstudy, "gaussian_reference_moments", counted)
-    cfg = _small_cfg(
-        model="cross2d", theta0=(1.0, 2.0), x0=(1.0, 1.0), hurst=(0.4, 0.45),
-        epsilons=(0.1, 0.05), n_replicates=4, n_coarse=32, refine_level=2,
+def test_summarize_epsilon_matches_normality_report():
+    matrix = np.array([[2.0, 0.3], [0.3, 1.0]])
+    gamma = GammaMatrix(
+        matrix=matrix, hurst=None, theta0=(1.0, 2.0), min_eigenvalue=0.9, a5_ok=True
     )
-    summary = run_study(cfg)
-    assert len(calls) == 1
-    assert [s.ref_abs_u for s in summary.per_eps] == [real(summary.gamma_inv)[0]] * 2
+    ginv = np.linalg.inv(matrix)
+    us = np.random.default_rng(12).standard_normal((40, 2)) @ symmetric_sqrt(ginv)
+    s = summarize_epsilon(0.1, _packed(us), gamma, ginv)
+    rep = normality_report(us, gamma)
+    assert s.n_ok == 40 and s.n_failed == 0
+    assert np.array_equal(s.mean_u, rep.mean) and np.array_equal(s.cov_u, rep.cov)
+    assert s.cov_rel_error == rep.cov_rel_error
+    assert np.array_equal(s.skewness, rep.skewness)
+    assert np.array_equal(s.excess_kurtosis, rep.excess_kurtosis)
+    assert np.all(np.isfinite(s.skewness))
+
+
+def test_summarize_epsilon_skips_shape_moments_below_30():
+    gamma = GammaMatrix(
+        matrix=np.array([[0.5]]), hurst=None, theta0=(1.0,), min_eigenvalue=0.5, a5_ok=True
+    )
+    ginv = np.linalg.inv(gamma.matrix)
+    us = np.random.default_rng(13).standard_normal((29, 1))
+    s = summarize_epsilon(0.1, _packed(us), gamma, ginv)
+    assert s.n_ok == 29 and np.isfinite(s.cov_rel_error)
+    assert np.isnan(s.skewness).all() and np.isnan(s.excess_kurtosis).all()
 
 
 def test_config_validation():
