@@ -56,7 +56,6 @@ from .controlled import (
     rough_integral,
 )
 from .rde import (
-    OdePath,
     Trajectory,
     sigma_controlled,
     solve_ode,

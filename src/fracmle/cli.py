@@ -28,11 +28,8 @@ EXIT_VALIDATION = 2
 
 
 def _simulate_once(doc, seed):
-    model = cfgmod.model_from(doc)
+    model, hv = cfgmod.model_and_hurst(doc)
     grid = cfgmod.grid_from(doc)
-    hv = cfgmod.hurst_from(doc)
-    if len(hv) != model.r:
-        raise ConfigError(f"config field hurst: expected {model.r} components, got {len(hv)}")
     theta0 = np.asarray(cfgmod.require(doc, "model", "theta0"), dtype=float)
     x0 = np.asarray(cfgmod.require(doc, "model", "x0"), dtype=float)
     if "epsilon" not in doc:
@@ -64,8 +61,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_estimate(args) -> int:
     doc = cfgmod.load_config(args.config)
-    model = cfgmod.model_from(doc)
-    hv = cfgmod.hurst_from(doc)
+    model, hv = cfgmod.model_and_hurst(doc)
     grid = cfgmod.grid_from(doc)
     theta0 = doc.get("model", {}).get("theta0")
     if args.trajectory is not None:
@@ -113,8 +109,7 @@ def cmd_mc(args) -> int:
 
 def cmd_gamma(args) -> int:
     doc = cfgmod.load_config(args.config)
-    model = cfgmod.model_from(doc)
-    hv = cfgmod.hurst_from(doc)
+    model, hv = cfgmod.model_and_hurst(doc)
     grid = cfgmod.grid_from(doc)
     theta0 = cfgmod.require(doc, "model", "theta0")
     x0 = cfgmod.require(doc, "model", "x0")

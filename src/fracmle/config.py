@@ -102,7 +102,7 @@ SCHEMA = {
             "additionalProperties": False,
             "properties": {"dir": {"type": "string"}},
         },
-        "seed": {"type": "integer"},
+        "seed": {"type": "integer", "minimum": 0},
     },
 }
 
@@ -149,6 +149,14 @@ def model_from(doc: dict) -> ModelSpec:
     return spec
 
 
+def model_and_hurst(doc: dict) -> tuple:
+    """The model and the Hurst vector, checked to have one index per driver component."""
+    model, hv = model_from(doc), hurst_from(doc)
+    if len(hv) != model.r:
+        raise ConfigError(f"config field hurst: expected {model.r} components, got {len(hv)}")
+    return model, hv
+
+
 def optimizer_from(doc: dict) -> OptimizerConfig:
     return OptimizerConfig(**doc.get("optimizer", {}))
 
@@ -165,8 +173,10 @@ def require(doc: dict, section: str, key: str):
 
 
 def resolve_seed(doc: dict, cli_seed) -> int:
-    """Explicit seed from the flag or the config; hidden entropy is refused."""
+    """Explicit non-negative seed from the flag or the config; hidden entropy is refused."""
     if cli_seed is not None:
+        if cli_seed < 0:
+            raise ConfigError(f"--seed must be non-negative, got {cli_seed}")
         return int(cli_seed)
     if "seed" in doc:
         return int(doc["seed"])
@@ -174,10 +184,7 @@ def resolve_seed(doc: dict, cli_seed) -> int:
 
 
 def study_config_from(doc: dict, cli_seed=None, output_dir=None) -> StudyConfig:
-    model = model_from(doc)
-    hv = hurst_from(doc)
-    if len(hv) != model.r:
-        raise ConfigError(f"config field hurst: expected {model.r} components, got {len(hv)}")
+    _, hv = model_and_hurst(doc)
     theta0 = require(doc, "model", "theta0")
     x0 = require(doc, "model", "x0")
     study = doc.get("study")

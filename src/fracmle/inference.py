@@ -25,7 +25,7 @@ from . import fraccalc
 from .errors import InputError, OptimizationError
 from .fbm import HurstVector, RoughPath, TimeGrid, complete_area
 from .model import ModelSpec, eval_path, weighted_path
-from .rde import OdePath, Trajectory, solve_ode
+from .rde import Trajectory, solve_ode
 
 
 @dataclass(frozen=True)
@@ -125,12 +125,17 @@ def plans_for(hurst: HurstVector, grid: TimeGrid) -> tuple:
     return tuple(fraccalc.get_plan(h, grid.T, grid.n_coarse) for h in hurst)
 
 
-def build_context(traj: Trajectory, model: ModelSpec, hurst: HurstVector) -> LikelihoodContext:
+def _model_plans(model: ModelSpec, hurst: HurstVector, grid: TimeGrid) -> tuple:
+    """plans_for, once hurst has one index per driver component of the model."""
     if len(hurst) != model.r:
         raise InputError(f"hurst has {len(hurst)} components, model drives {model.r}")
+    return plans_for(hurst, grid)
+
+
+def build_context(traj: Trajectory, model: ModelSpec, hurst: HurstVector) -> LikelihoodContext:
     if traj.d != model.d:
         raise InputError(f"trajectory has {traj.d} state columns, model expects {model.d}")
-    plans = plans_for(hurst, traj.grid)
+    plans = _model_plans(model, hurst, traj.grid)
     f, df = weighted_path(model, traj.states)
     y = _assemble_Y(traj, f, df)
     z = build_Z(y, hurst, plans)
@@ -373,8 +378,8 @@ def gamma_matrix(
     with the deterministic Q field evaluated on the ODE limit path."""
     theta0 = model.check_theta(theta0)
     fine_grid = TimeGrid(grid.T, grid.n_coarse * int(refine), 0)
+    plans = _model_plans(model, hurst, fine_grid)
     ode = solve_ode(model, theta0, x0, fine_grid)
-    plans = plans_for(hurst, fine_grid)
     q = compute_Q(ode.states, model, theta0, 1.0, hurst, plans, order=1)
     w = _trapezoid_weights(fine_grid)
     gam = np.einsum("kij,kil,k->jl", q.dtheta, q.dtheta, w)
@@ -389,10 +394,10 @@ def gamma_matrix(
     )
 
 
-def y_limit_field(model: ModelSpec, theta, theta0, hurst: HurstVector, ode: OdePath) -> float:
+def y_limit_field(model: ModelSpec, theta, theta0, hurst: HurstVector, ode: Trajectory) -> float:
     """Deterministic likelihood-contrast limit; 0 at theta = theta0 and
     negative wherever the drift difference is visible through the kernel."""
-    plans = plans_for(hurst, ode.grid)
+    plans = _model_plans(model, hurst, ode.grid)
     f, _ = weighted_path(model, ode.states)
     qd = (
         compute_Q(ode.states, model, theta, 1.0, hurst, plans, f_path=f).values
@@ -405,7 +410,7 @@ def identifiability_scan(
     model: ModelSpec,
     theta0,
     hurst: HurstVector,
-    ode: OdePath,
+    ode: Trajectory,
     n_grid: int = 15,
 ):
     """Estimate the separation constant inf_theta -Y_H(theta)/|theta-theta0|^2

@@ -66,6 +66,8 @@ class StudyConfig:
     def __post_init__(self):
         if self.n_replicates < 2:
             raise InputError("n_replicates must be at least 2")
+        if self.seed < 0:
+            raise InputError(f"seed must be non-negative, got {self.seed}")
         for e in self.epsilons:
             if not 0.0 < e <= 1.0:
                 raise InputError(f"epsilon {e} outside (0, 1]")

@@ -1,4 +1,4 @@
-"""One-step solver for the small-noise rough SDE and its ODE limit.
+"""One stepping loop for the small-noise rough SDE and its ODE limit.
 
 The scheme is the explicit third-order (Davie/Milstein-type) step
 
@@ -7,7 +7,8 @@ The scheme is the explicit third-order (Davie/Milstein-type) step
 
 with the contraction sum_{i,j} G[a,i,j] Area[j,i], G = (d sigma_{.i}/dx) sigma_{.j},
 matching the controlled-path expansion with Gubinelli derivative
-eps sigma(X). The deterministic limit is integrated by classic RK4.
+eps sigma(X). The deterministic limit, integrated by classic RK4, is the
+eps = 0 Trajectory; one march with one blow-up guard steps both schemes.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ BLOWUP_GUARD = 1e12
 @dataclass(frozen=True)
 class Trajectory:
     states: np.ndarray  # (n_coarse + 1, d)
-    epsilon: float
+    epsilon: float  # 0.0 for the ODE limit
     theta_used: tuple
     grid: TimeGrid
 
@@ -36,18 +37,21 @@ class Trajectory:
         return self.states.shape[1]
 
 
-@dataclass(frozen=True)
-class OdePath:
-    states: np.ndarray
-    theta0: tuple
-    grid: TimeGrid
-
-
-def _check_x0(model: ModelSpec, x0) -> np.ndarray:
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    if x0.shape != (model.d,):
-        raise InputError(f"x0 has shape {x0.shape}, model expects ({model.d},)")
-    return x0
+def _march(step, model: ModelSpec, x0, n_steps: int, what: str) -> np.ndarray:
+    """Read-only states of x_{k+1} = step(k, x_k) from a checked x0; DivergenceError at
+    the first step whose state is non-finite or past BLOWUP_GUARD (the negated test catches NaN)."""
+    x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()  # callbacks never see the caller's array
+    if x.shape != (model.d,):
+        raise InputError(f"x0 has shape {x.shape}, model expects ({model.d},)")
+    states = np.empty((n_steps + 1, model.d))
+    states[0] = x
+    for k in range(n_steps):
+        x = step(k, x)
+        if not np.abs(x).max() <= BLOWUP_GUARD:
+            raise DivergenceError(f"{what} exceeded blow-up guard at step {k}", step=k)
+        states[k + 1] = x
+    states.setflags(write=False)
+    return states
 
 
 def solve_rde(model: ModelSpec, theta, epsilon: float, rp: RoughPath, x0) -> Trajectory:
@@ -55,63 +59,46 @@ def solve_rde(model: ModelSpec, theta, epsilon: float, rp: RoughPath, x0) -> Tra
     theta = model.check_theta(theta)
     if not 0.0 <= epsilon <= 1.0:
         raise InputError(f"epsilon must lie in [0, 1], got {epsilon}")
-    x0 = _check_x0(model, x0)
     grid = rp.grid
     if rp.r != model.r:
         raise InputError(f"driver has {rp.r} components, model expects {model.r}")
-    nc = grid.n_coarse
-    dt = grid.dt
-    states = np.empty((nc + 1, model.d))
-    states[0] = x0
-    x = x0.copy()
-    eps2 = epsilon * epsilon
-    for k in range(nc):
-        x_old = x
-        b = np.asarray(model.drift(x_old, theta), dtype=float)
-        x = x_old + b * dt
-        if epsilon > 0.0:
-            sig = np.asarray(model.diffusion(x_old), dtype=float).reshape(model.d, model.r)
-            dsig = np.asarray(model.diffusion_dx(x_old), dtype=float).reshape(
-                model.d, model.r, model.d
-            )
-            g = np.einsum("aic,cj->aij", dsig, sig)
-            x = x + epsilon * (sig @ rp.coarse_increments[k])
-            x = x + eps2 * np.einsum("aij,ji->a", g, rp.coarse_areas[k])
-        if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > BLOWUP_GUARD:
-            raise DivergenceError(f"solution exceeded blow-up guard at step {k}", step=k)
-        states[k + 1] = x
-    states.setflags(write=False)
+    d, r, dt, eps2 = model.d, model.r, grid.dt, epsilon * epsilon
+    inc, areas = rp.coarse_increments, rp.coarse_areas
+
+    def davie(k, x):
+        b = np.asarray(model.drift(x, theta), dtype=float)
+        sig = np.asarray(model.diffusion(x), dtype=float).reshape(d, r)
+        dsig = np.asarray(model.diffusion_dx(x), dtype=float).reshape(d, r, d)
+        g = np.einsum("aic,cj->aij", dsig, sig)
+        return x + b * dt + epsilon * (sig @ inc[k]) + eps2 * np.einsum("aij,ji->a", g, areas[k])
+
+    states = _march(davie, model, x0, grid.n_coarse, "solution")
     return Trajectory(
         states=states, epsilon=float(epsilon), theta_used=tuple(theta.tolist()), grid=grid
     )
 
 
-def solve_ode(model: ModelSpec, theta0, x0, grid: TimeGrid) -> OdePath:
-    """RK4 integration of dx/dt = b(x, theta0) on the coarse grid."""
+def solve_ode(model: ModelSpec, theta0, x0, grid: TimeGrid) -> Trajectory:
+    """RK4 integration of dx/dt = b(x, theta0) on the coarse grid: the ODE
+    limit as the eps = 0 Trajectory, stepped by the same march as solve_rde."""
     theta0 = model.check_theta(theta0)
-    x0 = _check_x0(model, x0)
-    nc, dt = grid.n_coarse, grid.dt
-    states = np.empty((nc + 1, model.d))
-    states[0] = x0
-    x = x0.copy()
+    dt = grid.dt
 
     def f(y):
         return np.asarray(model.drift(y, theta0), dtype=float)
 
-    for k in range(nc):
+    def rk4(k, x):
         k1 = f(x)
         k2 = f(x + 0.5 * dt * k1)
         k3 = f(x + 0.5 * dt * k2)
         k4 = f(x + dt * k3)
-        x = x + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > BLOWUP_GUARD:
-            raise DivergenceError(f"ODE flow exceeded blow-up guard at step {k}", step=k)
-        states[k + 1] = x
-    states.setflags(write=False)
-    return OdePath(states=states, theta0=tuple(theta0.tolist()), grid=grid)
+        return x + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+
+    states = _march(rk4, model, x0, grid.n_coarse, "ODE flow")
+    return Trajectory(states=states, epsilon=0.0, theta_used=tuple(theta0.tolist()), grid=grid)
 
 
-def sup_distance(xeps: Trajectory, x: OdePath) -> float:
+def sup_distance(xeps: Trajectory, x: Trajectory) -> float:
     """max over nodes of |X^eps_t - x_t|."""
     if xeps.grid != x.grid:
         raise InputError("trajectory and ODE path live on different grids")

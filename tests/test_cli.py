@@ -299,6 +299,68 @@ def test_x0_length_mismatch_is_typed_error(tmp_path, command):
     assert "Traceback" not in res.stderr
 
 
+@pytest.mark.parametrize(
+    "name, hurst, command",
+    [
+        ("cross2d", 0.4, "gamma"),
+        ("linear1d", [0.4, 0.45], "gamma"),
+        ("linear1d", [0.4, 0.45], "estimate-trajectory"),
+        ("linear1d", [0.4, 0.45], "estimate"),
+        ("cross2d", 0.4, "simulate"),
+        ("cross2d", 0.4, "mc"),
+    ],
+)
+def test_hurst_length_mismatch_is_validation_error(tmp_path, name, hurst, command):
+    d = 2 if name == "cross2d" else 1
+    doc = {
+        "model": {"name": name, "theta0": [1.0] * d, "x0": [1.0] * d},
+        "grid": {"T": 1.0, "n_coarse": 32},
+        "hurst": hurst,
+        "epsilon": 0.1,
+        "study": {"epsilons": [0.1], "n_replicates": 2},
+        "seed": 5,
+    }
+    cfg = _write(tmp_path, doc)
+    args = [command, "--config", str(cfg)]
+    if command == "estimate-trajectory":
+        traj = tmp_path / "traj.csv"
+        nodes = np.linspace(0.0, 1.0, 33)
+        np.savetxt(traj, np.column_stack([nodes, np.ones(33)]), delimiter=",", header="t,X1", comments="")
+        args = ["estimate", "--config", str(cfg), "--trajectory", str(traj)]
+    if command in ("simulate", "mc"):
+        args += ["--output-dir", str(tmp_path / "out")]
+    res = run_cli(*args)
+    assert res.returncode == 2, res.stdout + res.stderr
+    assert "hurst" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("command", ["mc", "simulate"])
+def test_negative_seed_flag_is_validation_error(tmp_path, command):
+    doc = {
+        "model": {"name": "zero1d", "theta0": [1.0], "x0": [1.0]},
+        "grid": {"T": 1.0, "n_coarse": 64},
+        "hurst": 0.4,
+        "epsilon": 0.1,
+        "study": {"epsilons": [0.1], "n_replicates": 35},
+    }
+    cfg = _write(tmp_path, doc)
+    out = tmp_path / "out"
+    res = run_cli(command, "--config", str(cfg), "--seed", "-1", "--output-dir", str(out))
+    assert res.returncode == 2, res.stdout + res.stderr
+    assert "seed" in res.stderr
+    assert not (out / "records.jsonl").exists()
+
+
+def test_negative_config_seed_is_validation_error(tmp_path, linear_config):
+    _, doc = linear_config
+    doc["seed"] = -3
+    cfg = _write(tmp_path, doc)
+    res = run_cli("simulate", "--config", str(cfg), "--output-dir", str(tmp_path))
+    assert res.returncode == 2
+    assert "seed" in res.stderr
+
+
 def test_missing_config_file():
     res = run_cli("estimate", "--config", "/nonexistent/cfg.json", "--seed", "1")
     assert res.returncode == 2

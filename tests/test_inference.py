@@ -526,6 +526,21 @@ def test_identifiability_scan_positive():
     assert np.all(values <= 0.0)
 
 
+@pytest.mark.parametrize(
+    "model, hurst", [(get_model("cross2d"), HurstVector((0.4,))), (LIN, HurstVector((0.4, 0.45)))]
+)
+def test_hurst_length_mismatch_is_typed_error(model, hurst):
+    theta0, x0 = [1.0] * model.m, [1.0] * model.d
+    grid = TimeGrid(1.0, 32, 0)
+    ode = solve_ode(model, theta0, x0, grid)
+    with pytest.raises(InputError, match="hurst"):
+        gamma_matrix(model, theta0, hurst, grid, x0)
+    with pytest.raises(InputError, match="hurst"):
+        y_limit_field(model, theta0, theta0, hurst, ode)
+    with pytest.raises(InputError, match="hurst"):
+        identifiability_scan(model, theta0, hurst, ode, n_grid=3)
+
+
 # ---------------------------------------------------------------- transfer identity
 
 

@@ -39,6 +39,11 @@ def _small_cfg(tmp_path=None, **kw):
     return StudyConfig(**base)
 
 
+def test_negative_seed_rejected():
+    with pytest.raises(InputError, match="seed"):
+        _small_cfg(seed=-1)
+
+
 def test_replicate_deterministic():
     cfg = _small_cfg()
     a = run_replicate(cfg, 0.1, 3)

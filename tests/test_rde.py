@@ -7,6 +7,7 @@ from fracmle import (
     HurstVector,
     InputError,
     TimeGrid,
+    Trajectory,
     get_model,
     lift,
     sample_fbm,
@@ -16,6 +17,7 @@ from fracmle import (
 )
 from fracmle.model import ModelSpec
 from fracmle.model import _zeros_theta_derivs
+from fracmle.rde import BLOWUP_GUARD
 
 from conftest import sampled_lift
 
@@ -110,9 +112,9 @@ def test_sup_distance_identical_and_mismatch(h04):
 
 
 def traj_to_ode(traj):
-    from fracmle.rde import OdePath
+    from fracmle.rde import Trajectory
 
-    return OdePath(states=traj.states, theta0=traj.theta_used, grid=traj.grid)
+    return Trajectory(states=traj.states, epsilon=0.0, theta_used=traj.theta_used, grid=traj.grid)
 
 
 def test_epsilon_rate_slope(h04):
@@ -166,6 +168,91 @@ def test_blowup_guard_carries_step(h04):
     with pytest.raises(DivergenceError) as err:
         solve_rde(model, [5.0], 0.1, rp, [3.0])
     assert isinstance(err.value.step, int)
+
+
+def _runaway_model(drift):
+    return ModelSpec(
+        name="runaway-test",
+        d=1,
+        r=1,
+        m=1,
+        theta_domain=[[0.1, 100.0]],
+        drift=drift,
+        drift_dx=lambda x, th: np.zeros((1, 1)),
+        drift_dtheta=_zeros_theta_derivs(1, 1, 1),
+        diffusion=lambda x: np.array([[1.0]]),
+        diffusion_dx=lambda x: np.zeros((1, 1, 1)),
+        diffusion_dxx=lambda x: np.zeros((1, 1, 1, 1)),
+    )
+
+
+def _divergence_step(solve, *args):
+    with pytest.raises(DivergenceError) as err:
+        solve(*args)
+    return err.value.step
+
+
+def test_nan_drift_divergence_step(h04):
+    # unit drift up to the threshold, NaN past it; x_{k+1} is NaN for the first
+    # k whose drift stage is past it. The threshold sits between grid nodes.
+    thresh = 0.5 + 1.0 / 128
+    model = _runaway_model(lambda x, th: np.where(x <= thresh, 1.0, np.nan))
+    grid = TimeGrid(1.0, 64, 0)
+    rp = sampled_lift(h04, grid, 60)
+    # Euler: x_k = k / 64, first past the threshold at k = 33
+    assert _divergence_step(solve_rde, model, [1.0], 0.0, rp, [0.0]) == 33
+    # RK4's last stage evaluates the drift at x_k + dt = (k + 1) / 64
+    assert _divergence_step(solve_ode, model, [1.0], [0.0], grid) == 32
+    # additive noise: x_k = k dt + eps B_k, computed here without the solver
+    path = np.arange(65) * grid.dt + 0.1 * rp.coarse_values()[:, 0]
+    assert np.any(path > thresh)
+    expected = int(np.argmax(path > thresh))
+    assert _divergence_step(solve_rde, model, [1.0], 0.1, rp, [0.0]) == expected
+
+
+def test_guard_divergence_step(h04):
+    # b(x) = theta x with theta dt = 1: Euler doubles x per step, RK4 multiplies
+    # it by 1 + 1 + 1/2 + 1/6 + 1/24; both pass the guard far below overflow
+    model = _runaway_model(lambda x, th: th[0] * x)
+    grid = TimeGrid(1.0, 64, 0)
+    rp = sampled_lift(h04, grid, 61)
+
+    def first_past(factor):
+        return next(k for k in range(64) if factor ** (k + 1) > BLOWUP_GUARD)
+
+    assert _divergence_step(solve_rde, model, [64.0], 0.0, rp, [1.0]) == first_past(2.0) == 39
+    assert _divergence_step(solve_ode, model, [64.0], [1.0], grid) == first_past(65.0 / 24.0)
+    x, expected = 1.0, None
+    for k, db in enumerate(rp.coarse_increments[:, 0]):
+        x = 2.0 * x + 0.1 * db
+        if abs(x) > BLOWUP_GUARD:
+            expected = k
+            break
+    assert _divergence_step(solve_rde, model, [64.0], 0.1, rp, [1.0]) == expected
+
+
+@pytest.mark.parametrize(
+    "name, hurst, theta, x0",
+    [("linear1d", (0.4,), [1.0], [1.0]), ("cross2d", (0.4, 0.45), [1.0, 2.0], [1.0, 1.0])],
+)
+def test_epsilon_zero_is_euler_drift_flow(name, hurst, theta, x0):
+    model = get_model(name)
+    grid = TimeGrid(1.0, 128, 2)
+    traj = solve_rde(model, theta, 0.0, sampled_lift(HurstVector(hurst), grid, 62), x0)
+    th = np.asarray(theta, dtype=float)
+    states = [np.asarray(x0, dtype=float)]
+    for _ in range(grid.n_coarse):
+        x = states[-1]
+        states.append(x + np.asarray(model.drift(x, th), dtype=float) * grid.dt)
+    assert np.array_equal(traj.states, np.array(states))
+
+
+def test_ode_limit_is_epsilon_zero_trajectory():
+    ode = solve_ode(get_model("cross2d"), [1.0, 2.0], [1.0, 1.0], TimeGrid(1.0, 32, 0))
+    assert isinstance(ode, Trajectory)
+    assert ode.epsilon == 0.0
+    assert ode.theta_used == (1.0, 2.0)
+    assert not ode.states.flags.writeable
 
 
 def test_epsilon_domain(h04):
