@@ -3,10 +3,13 @@
 Each replicate runs the full pipeline sample -> lift -> solve ->
 transform -> estimate, with its RNG stream indexed by (seed,
 replicate_id, component), so results are independent of the parallel
-execution layout and byte-identical across runs. Failed replicates
-(divergence, optimization failure) are recorded and excluded from the
-moments, never silently dropped; a study with more than 20% failures is
-marked invalid.
+execution layout and byte-identical across runs. Studies run in blocks of
+replicate ids: each id's driver is sampled and lifted once and shared by
+every epsilon level, and all (epsilon, id) paths of a block are solved in
+one batched march (R paths per step for a vectorized model). Failed
+replicates (divergence, optimization failure) are recorded and excluded
+from the moments, never silently dropped; a study with more than 20%
+failures is marked invalid.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -37,12 +41,14 @@ from .inference import (
     mle,
 )
 from .model import ModelSpec, get_model
-from .rde import solve_ode, solve_rde, sup_distance
+from .rde import solve_ode, solve_rde_batch, sup_distance
 
 log = logging.getLogger(__name__)
 
 MAX_FAILED_FRACTION = 0.2
 EIGENVALUE_FLOOR = 1e-12
+# replicate ids per block: bounds the drivers and paths a block holds at once
+MAX_BLOCK_IDS = 32
 
 
 @dataclass(frozen=True)
@@ -64,6 +70,11 @@ class StudyConfig:
     n_jobs: int | None = None
 
     def __post_init__(self):
+        # tuples, so that a config built from lists is hashable like one built from tuples
+        for name in ("theta0", "x0", "hurst", "epsilons"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        if self.theta_domain is not None:
+            object.__setattr__(self, "theta_domain", tuple(map(tuple, self.theta_domain)))
         if self.n_replicates < 2:
             raise InputError("n_replicates must be at least 2")
         if self.seed < 0:
@@ -158,34 +169,68 @@ def _ode_states(model_name: str, theta_domain, theta0, x0, T, n_coarse, refine_l
     return solve_ode(spec, theta0, np.asarray(x0), grid)
 
 
+def _failed(epsilon: float, replicate_id: int, exc: FracmleError) -> ReplicateResult:
+    return ReplicateResult(
+        replicate_id, float(epsilon), True, f"{type(exc).__name__}: {exc}", None, None, None
+    )
+
+
+def _finish(cfg: StudyConfig, model: ModelSpec, epsilon: float, replicate_id: int, traj):
+    """Transform, estimate, score and sup-distance of one solved path; traj may instead
+    be the error that ended the replicate before."""
+    if isinstance(traj, FracmleError):
+        return _failed(epsilon, replicate_id, traj)
+    theta0 = np.asarray(cfg.theta0, dtype=float)
+    try:
+        ctx = build_context(traj, model, cfg.hurst_vector())
+        record = mle(ctx, cfg.optimizer, theta0=theta0)
+        _, grad0, _ = likelihood_parts(ctx, theta0, order=1)
+        score = tuple((epsilon * grad0).tolist())
+        ode = _ode_states(
+            cfg.model, cfg.theta_domain, cfg.theta0, cfg.x0, cfg.T, cfg.n_coarse, cfg.refine_level
+        )
+        sdist = sup_distance(traj, ode)
+        return ReplicateResult(replicate_id, float(epsilon), False, None, record, score, sdist)
+    except FracmleError as exc:
+        return _failed(epsilon, replicate_id, exc)
+
+
+def _run_block(cfg: StudyConfig, epsilons: tuple, ids) -> list:
+    """run_replicate for every (epsilon, id) of a block, epsilon-major.
+
+    Each id's driver is sampled and lifted once and drives that id at every
+    epsilon; of it only the coarse increments and areas are kept. All paths
+    of the block are solved in one batched march, then finished one by one.
+    """
+    model, grid = cfg.model_spec(), cfg.grid()
+    drivers = {}
+    for rid in ids:
+        try:
+            rp = lift(sample_fbm(cfg.hurst_vector(), grid, (cfg.seed, rid)), grid)
+            drivers[rid] = (rp.coarse_increments, rp.coarse_areas)
+        except FracmleError as exc:
+            drivers[rid] = exc
+    rows = [(eps, rid) for eps in epsilons for rid in ids]
+    sampled = [(eps, rid) for eps, rid in rows if isinstance(drivers[rid], tuple)]
+    solved = {}
+    if sampled:
+        inc, areas = zip(*(drivers[rid] for _, rid in sampled))
+        epss = [eps for eps, _ in sampled]
+        try:
+            paths = solve_rde_batch(model, cfg.theta0, epss, inc, areas, cfg.x0, grid)
+        except FracmleError as exc:
+            paths = [exc] * len(sampled)
+        solved = dict(zip(sampled, paths))
+    return [_finish(cfg, model, e, rid, solved.get((e, rid), drivers[rid])) for e, rid in rows]
+
+
 def run_replicate(cfg: StudyConfig, epsilon: float, replicate_id: int) -> ReplicateResult:
     """End-to-end pipeline for one replicate; deterministic given (seed, id).
 
     The driver stream does not depend on epsilon, so replicates with equal
     ids are driven by the same noise across epsilon levels (matched pairs).
     """
-    model = cfg.model_spec()
-    grid = cfg.grid()
-    hv = cfg.hurst_vector()
-    theta0 = np.asarray(cfg.theta0, dtype=float)
-    x0 = np.asarray(cfg.x0, dtype=float)
-    try:
-        path = sample_fbm(hv, grid, (cfg.seed, replicate_id))
-        rp = lift(path, grid)
-        traj = solve_rde(model, theta0, epsilon, rp, x0)
-        ctx = build_context(traj, model, hv)
-        record = mle(ctx, cfg.optimizer, theta0=theta0)
-        _, grad0, _ = likelihood_parts(ctx, theta0, order=1)
-        score = tuple((epsilon * grad0).tolist())
-        ode = _ode_states(
-            cfg.model, cfg.theta_domain, tuple(theta0), tuple(x0), cfg.T, cfg.n_coarse, cfg.refine_level
-        )
-        sdist = sup_distance(traj, ode)
-        return ReplicateResult(replicate_id, float(epsilon), False, None, record, score, sdist)
-    except FracmleError as exc:
-        return ReplicateResult(
-            replicate_id, float(epsilon), True, f"{type(exc).__name__}: {exc}", None, None, None
-        )
+    return _run_block(cfg, (epsilon,), (replicate_id,))[0]
 
 
 def _n_jobs(cfg: StudyConfig) -> int:
@@ -303,27 +348,29 @@ def _study_gamma(cfg: StudyConfig) -> GammaMatrix:
 def run_study(cfg: StudyConfig) -> StudySummary:
     """Run all replicates for every epsilon level and aggregate.
 
-    Replicates execute in parallel worker processes (FRACMLE_THREADS or
-    n_jobs; 1 runs inline) while the calling process computes Gamma;
-    aggregation and file output happen in the calling process only, after
-    all replicates joined.
+    Replicate ids run in blocks (all epsilon levels of an id in the same
+    block) in parallel worker processes (FRACMLE_THREADS or n_jobs; 1 runs
+    inline) while the calling process computes Gamma; aggregation and file
+    output happen in the calling process only, after all blocks joined. A
+    pool gets about 4 blocks per worker, to balance its load; inline, blocks
+    are as large as MAX_BLOCK_IDS allows.
     """
     epsilons = tuple(dict.fromkeys(cfg.epsilons))
-    tasks = [(cfg, eps, rid) for eps in epsilons for rid in range(cfg.n_replicates)]
-    jobs = _n_jobs(cfg)
+    jobs, n = _n_jobs(cfg), cfg.n_replicates
+    size = min(MAX_BLOCK_IDS, -(-n // (4 * jobs)) if jobs > 1 else n)
+    blocks = [range(lo, min(lo + size, n)) for lo in range(0, n, size)]
     results = gamma = None
-    if jobs > 1 and len(tasks) > 1:
+    if jobs > 1:
         try:
             with ProcessPoolExecutor(max_workers=jobs) as pool:
-                chunk = max(1, len(tasks) // (4 * jobs))
-                pending = pool.map(run_replicate, *zip(*tasks), chunksize=chunk)
+                pending = pool.map(_run_block, repeat(cfg), repeat(epsilons), blocks)
                 gamma = _study_gamma(cfg)
-                results = list(pending)
+                results = [res for block in pending for res in block]
         except OSError as exc:  # sandboxed environments
             log.warning("process pool unavailable (%s); running serially", exc)
             results = None
     if results is None:
-        results = [run_replicate(*t) for t in tasks]
+        results = [res for ids in blocks for res in _run_block(cfg, epsilons, ids)]
     if gamma is None:
         gamma = _study_gamma(cfg)
 
@@ -340,7 +387,7 @@ def run_study(cfg: StudyConfig) -> StudySummary:
         log.warning("information matrix is singular; normalized diagnostics unavailable")
         gamma_inv = np.full_like(gamma.matrix, np.nan)
     per_eps = tuple(summarize_epsilon(eps, by_eps[eps], gamma, gamma_inv) for eps in epsilons)
-    n_total = len(tasks)
+    n_total = len(results)
     n_failed = sum(1 for res in results if res.failed)
     valid = n_failed <= MAX_FAILED_FRACTION * n_total
     if not valid:

@@ -9,6 +9,13 @@ with the contraction sum_{i,j} G[a,i,j] Area[j,i], G = (d sigma_{.i}/dx) sigma_{
 matching the controlled-path expansion with Gubinelli derivative
 eps sigma(X). The deterministic limit, integrated by classic RK4, is the
 eps = 0 Trajectory; one march with one blow-up guard steps both schemes.
+
+solve_rde_batch steps R paths of one theta, each with its own eps and
+driver, as one (R, d) state with one stacked callback call per step (a
+model that is not vectorized runs one row at a time); solve_rde and
+solve_ode march a single (d,) state. A row that leaves the guard is dropped
+and carries the DivergenceError its single-path solve raises; every other
+row is bit-identical to its single-path solve.
 """
 
 from __future__ import annotations
@@ -37,45 +44,112 @@ class Trajectory:
         return self.states.shape[1]
 
 
-def _march(step, model: ModelSpec, x0, n_steps: int, what: str) -> np.ndarray:
-    """Read-only states of x_{k+1} = step(k, x_k) from a checked x0; DivergenceError at
-    the first step whose state is non-finite or past BLOWUP_GUARD (the negated test catches NaN)."""
-    x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()  # callbacks never see the caller's array
+def _checked_x0(model: ModelSpec, x0) -> np.ndarray:
+    x = np.atleast_1d(np.asarray(x0, dtype=float))
     if x.shape != (model.d,):
         raise InputError(f"x0 has shape {x.shape}, model expects ({model.d},)")
-    states = np.empty((n_steps + 1, model.d))
+    return x
+
+
+def _march(steps, x0: np.ndarray, n_steps: int, what: str):
+    """Read-only states (n_steps + 1,) + x0.shape of x_{k+1} = step(k, x_k) for one path,
+    x0 (d,), or R paths, x0 (R, d), each path contiguous; step = steps(live) steps the
+    rows live (a slice, or an index array once a row has failed).
+
+    Also returns per path None or the DivergenceError of its first step whose state is
+    non-finite or past BLOWUP_GUARD (the negated test catches NaN). The guard is one
+    reduction over all rows; only when it fails are the crossing rows found and dropped,
+    so no callback sees their states again; their later states stay unset.
+    """
+    x = x0.copy()  # callbacks never see the caller's array
+    states = np.moveaxis(np.empty(x.shape[:-1] + (n_steps + 1, x.shape[-1])), -2, 0)
     states[0] = x
+    errors = [None] * len(np.atleast_2d(x))
+    live = slice(None)
+    step = steps(live)
     for k in range(n_steps):
         x = step(k, x)
         if not np.abs(x).max() <= BLOWUP_GUARD:
-            raise DivergenceError(f"{what} exceeded blow-up guard at step {k}", step=k)
-        states[k + 1] = x
+            ok = np.abs(np.atleast_2d(x)).max(axis=1) <= BLOWUP_GUARD
+            rows = np.arange(len(errors))[live]
+            for i in rows[~ok]:
+                errors[i] = DivergenceError(f"{what} exceeded blow-up guard at step {k}", step=k)
+            live = rows[ok]
+            if not live.size:
+                break
+            x, step = x[ok], steps(live)
+        states[k + 1, live] = x
     states.setflags(write=False)
-    return states
+    return states, errors
+
+
+def solve_rde_batch(
+    model: ModelSpec, theta, epsilons, increments, areas, x0, grid: TimeGrid
+) -> list:
+    """Solve the rough SDE for one theta along R drivers at once.
+
+    Row i has noise level epsilons[i] and the coarse increments[i] (n_coarse, r) and
+    areas[i] (n_coarse, r, r) of its driver on grid. Its entry of the returned list is
+    its Trajectory, or the DivergenceError (with its step) that solve_rde raises on that
+    driver. A vectorized model steps all rows as one (R, d) state; any other model, and
+    a single row, is stepped one (d,) state at a time.
+    """
+    theta = model.check_theta(theta)
+    for epsilon in epsilons:
+        if not 0.0 <= epsilon <= 1.0:
+            raise InputError(f"epsilon must lie in [0, 1], got {epsilon}")
+    eps = np.asarray(epsilons, dtype=float)
+    inc, areas = np.asarray(increments, dtype=float), np.asarray(areas, dtype=float)
+    n_rows, d, r, n, dt = len(eps), model.d, model.r, grid.n_coarse, grid.dt
+    if inc.shape != (n_rows, n, r) or areas.shape != (n_rows, n, r, r):
+        raise InputError(
+            f"{n_rows} drivers with {r} components on {n} coarse steps do not fit "
+            f"increments {inc.shape} and areas {areas.shape}"
+        )
+    x0 = _checked_x0(model, x0)
+
+    def davie(e, dB, A):
+        """The step for noise levels e and per-step increments dB[k], areas A[k]."""
+        e2 = e * e
+
+        def step(k, x):
+            lead = x.shape[:-1]
+            b = np.asarray(model.drift(x, theta), dtype=float)
+            sig = np.asarray(model.diffusion(x), dtype=float).reshape(lead + (d, r))
+            dsig = np.asarray(model.diffusion_dx(x), dtype=float).reshape(lead + (d, r, d))
+            g = dsig @ sig[..., None, :, :]
+            noise = (sig @ dB[k][..., None])[..., 0]
+            return x + b * dt + e * noise + e2 * np.einsum("...aij,...ji->...a", g, A[k])
+
+        return step
+
+    if model.vectorized and n_rows > 1:
+        inc_t, areas_t = inc.swapaxes(0, 1), areas.swapaxes(0, 1)  # step-major views
+        states, errors = _march(
+            lambda live: davie(eps[live, None], inc_t[:, live], areas_t[:, live]),
+            np.repeat(x0[None], n_rows, axis=0),
+            n,
+            "solution",
+        )
+        paths = [states[:, i] for i in range(n_rows)]
+    else:
+        rows = [_march(lambda _: davie(eps[i], inc[i], areas[i]), x0, n, "solution") for i in range(n_rows)]
+        paths, errors = [path for path, _ in rows], [err for _, (err,) in rows]
+    theta_used = tuple(theta.tolist())
+    return [
+        Trajectory(path, float(epsilon), theta_used, grid) if err is None else err
+        for path, epsilon, err in zip(paths, eps, errors)
+    ]
 
 
 def solve_rde(model: ModelSpec, theta, epsilon: float, rp: RoughPath, x0) -> Trajectory:
     """Solve the rough SDE along a sampled driver; eps = 0 reduces to the Euler drift flow."""
-    theta = model.check_theta(theta)
-    if not 0.0 <= epsilon <= 1.0:
-        raise InputError(f"epsilon must lie in [0, 1], got {epsilon}")
-    grid = rp.grid
-    if rp.r != model.r:
-        raise InputError(f"driver has {rp.r} components, model expects {model.r}")
-    d, r, dt, eps2 = model.d, model.r, grid.dt, epsilon * epsilon
-    inc, areas = rp.coarse_increments, rp.coarse_areas
-
-    def davie(k, x):
-        b = np.asarray(model.drift(x, theta), dtype=float)
-        sig = np.asarray(model.diffusion(x), dtype=float).reshape(d, r)
-        dsig = np.asarray(model.diffusion_dx(x), dtype=float).reshape(d, r, d)
-        g = np.einsum("aic,cj->aij", dsig, sig)
-        return x + b * dt + epsilon * (sig @ inc[k]) + eps2 * np.einsum("aij,ji->a", g, areas[k])
-
-    states = _march(davie, model, x0, grid.n_coarse, "solution")
-    return Trajectory(
-        states=states, epsilon=float(epsilon), theta_used=tuple(theta.tolist()), grid=grid
+    (out,) = solve_rde_batch(
+        model, theta, [epsilon], rp.coarse_increments[None], rp.coarse_areas[None], x0, rp.grid
     )
+    if isinstance(out, DivergenceError):
+        raise out
+    return out
 
 
 def solve_ode(model: ModelSpec, theta0, x0, grid: TimeGrid) -> Trajectory:
@@ -83,18 +157,21 @@ def solve_ode(model: ModelSpec, theta0, x0, grid: TimeGrid) -> Trajectory:
     limit as the eps = 0 Trajectory, stepped by the same march as solve_rde."""
     theta0 = model.check_theta(theta0)
     dt = grid.dt
+    half, sixth = 0.5 * dt, dt / 6.0
 
     def f(y):
         return np.asarray(model.drift(y, theta0), dtype=float)
 
     def rk4(k, x):
         k1 = f(x)
-        k2 = f(x + 0.5 * dt * k1)
-        k3 = f(x + 0.5 * dt * k2)
+        k2 = f(x + half * k1)
+        k3 = f(x + half * k2)
         k4 = f(x + dt * k3)
-        return x + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        return x + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
 
-    states = _march(rk4, model, x0, grid.n_coarse, "ODE flow")
+    states, (err,) = _march(lambda _: rk4, _checked_x0(model, x0), grid.n_coarse, "ODE flow")
+    if err is not None:
+        raise err
     return Trajectory(states=states, epsilon=0.0, theta_used=tuple(theta0.tolist()), grid=grid)
 
 

@@ -1,4 +1,7 @@
+import dataclasses
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -326,17 +329,16 @@ def test_study_failure_gate(monkeypatch):
     # more than 20% failed replicates marks the study invalid; failures are
     # counted, never silently dropped
     import fracmle.mcstudy as mc
+    from fracmle.errors import DivergenceError
 
-    real = mc.run_replicate
+    real = mc.sample_fbm
 
-    def flaky(cfg, epsilon, rid):
-        if rid < 4:
-            from fracmle.mcstudy import ReplicateResult
+    def flaky(hurst, grid, seed):
+        if seed[1] < 4:
+            raise DivergenceError("forced", step=0)
+        return real(hurst, grid, seed)
 
-            return ReplicateResult(rid, float(epsilon), True, "DivergenceError: forced", None, None, None)
-        return real(cfg, epsilon, rid)
-
-    monkeypatch.setattr(mc, "run_replicate", flaky)
+    monkeypatch.setattr(mc, "sample_fbm", flaky)
     summary = run_study(_small_cfg(n_replicates=10))
     s = summary.per_eps[0]
     assert s.n_failed == 4 and s.n_ok == 6
@@ -350,3 +352,152 @@ def test_study_singular_gamma_still_summarizes():
     assert not summary.gamma.a5_ok
     assert np.isnan(summary.per_eps[0].cov_rel_error)
     assert summary.per_eps[0].n_ok == 5
+
+
+def _study_bytes(cfg) -> dict:
+    """records.jsonl, summary.csv and the manifest without created_at of one study."""
+    run_study(cfg)
+    out = Path(cfg.output_dir)
+    manifest = json.loads((out / "manifest.json").read_text())
+    del manifest["created_at"]
+    return {
+        "records": (out / "records.jsonl").read_bytes(),
+        "summary": (out / "summary.csv").read_bytes(),
+        "manifest": json.dumps(manifest, sort_keys=True),
+    }
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [
+        dict(model="linear1d", n_coarse=64),
+        dict(
+            model="cross2d", theta0=(1.0, 2.0), x0=(1.0, 1.0), hurst=(0.4, 0.45), n_coarse=32,
+            refine_level=1,
+        ),
+    ],
+    ids=["linear1d", "cross2d"],
+)
+def test_study_outputs_independent_of_block_layout(tmp_path, monkeypatch, kw):
+    # block sizes 1, 7 and all replicates, inline and on a pool of 2, write the same bytes
+    import fracmle.mcstudy as mc
+
+    n_rep = 9
+    cfg = _small_cfg(tmp_path, epsilons=(0.1, 0.05), n_replicates=n_rep, n_jobs=None, **kw)
+    outputs = []
+    for size in (1, 7, n_rep):
+        monkeypatch.setattr(mc, "MAX_BLOCK_IDS", size)
+        for jobs in ("1", "2"):
+            monkeypatch.setenv("FRACMLE_THREADS", jobs)
+            outputs.append(_study_bytes(cfg))
+    assert all(out == outputs[0] for out in outputs[1:])
+    assert len(outputs[0]["records"].splitlines()) == 2 * n_rep
+
+
+def test_run_replicate_is_its_block_row():
+    import fracmle.mcstudy as mc
+
+    cfg = _small_cfg(epsilons=(0.1, 0.05), n_replicates=5)
+    block = mc._run_block(cfg, (0.1, 0.05), range(5))
+    assert block == [run_replicate(cfg, eps, rid) for eps in (0.1, 0.05) for rid in range(5)]
+
+
+def _edge_cfg(tmp_path=None, **kw):
+    from fracmle import register
+
+    from conftest import edge_cubic_model
+
+    register(edge_cubic_model("edge-cubic-study-test"), overwrite=True)
+    base = dict(model="edge-cubic-study-test", theta0=(5.0,), epsilons=(0.3, 0.1), n_replicates=8)
+    base.update(kw)
+    return _small_cfg(tmp_path, n_coarse=64, **base)
+
+
+def test_block_rows_fail_per_path(tmp_path, monkeypatch):
+    # in one block, diverging rows fail with their own step and the rest are estimated;
+    # each row equals run_replicate, and a block of one id per row writes the same bytes
+    import fracmle.mcstudy as mc
+
+    cfg = _edge_cfg(tmp_path)
+    block = mc._run_block(cfg, cfg.epsilons, range(cfg.n_replicates))
+    reasons = {r.fail_reason for r in block if r.failed}
+    assert any(not r.failed for r in block)
+    assert len(reasons) >= 2
+    assert all(re.fullmatch(r"DivergenceError: solution exceeded blow-up guard at step \d+", why)
+               for why in reasons)
+    assert block == [run_replicate(cfg, e, rid) for e in cfg.epsilons for rid in range(8)]
+    whole = _study_bytes(cfg)
+    monkeypatch.setattr(mc, "MAX_BLOCK_IDS", 1)
+    assert _study_bytes(cfg) == whole
+
+
+def test_non_vectorized_model_runs_rows_one_at_a_time():
+    # the explosive model has only single-state callbacks: each row of a block is
+    # solved alone and fails as its single-path solve does
+    import fracmle.mcstudy as mc
+    from fracmle import DivergenceError, lift, sample_fbm, solve_rde
+
+    cfg = _explosive_cfg(3)
+    block = mc._run_block(cfg, (0.1, 0.3), range(3))
+    assert block == [run_replicate(cfg, e, rid) for e in (0.1, 0.3) for rid in range(3)]
+    grid, model = cfg.grid(), cfg.model_spec()
+    for res in block:
+        rp = lift(sample_fbm(cfg.hurst_vector(), grid, (cfg.seed, res.replicate_id)), grid)
+        with pytest.raises(DivergenceError) as err:
+            solve_rde(model, cfg.theta0, res.epsilon, rp, cfg.x0)
+        assert res.failed and res.fail_reason == f"DivergenceError: {err.value}"
+
+
+def test_study_solves_each_block_in_one_march(monkeypatch):
+    # the solve makes one stacked drift call per step and block, where one call per
+    # path and step would be n_paths * n_coarse; each driver is sampled once per id
+    import dataclasses
+
+    import fracmle.mcstudy as mc
+    from fracmle import register
+
+    calls = {"solve": False, "drift": 0, "seeds": []}
+    lin = get_model("linear1d")
+
+    def drift(x, th):
+        calls["drift"] += calls["solve"]
+        return lin.drift(x, th)
+
+    register(dataclasses.replace(lin, name="linear1d-counted", drift=drift), overwrite=True)
+    real_solve, real_sample = mc.solve_rde_batch, mc.sample_fbm
+
+    def solve(*args):
+        calls["solve"] = True
+        try:
+            return real_solve(*args)
+        finally:
+            calls["solve"] = False
+
+    def sample(hurst, grid, seed):
+        calls["seeds"].append(seed)
+        return real_sample(hurst, grid, seed)
+
+    monkeypatch.setattr(mc, "solve_rde_batch", solve)
+    monkeypatch.setattr(mc, "sample_fbm", sample)
+    monkeypatch.setattr(mc, "MAX_BLOCK_IDS", 4)
+    cfg = _small_cfg(model="linear1d-counted", epsilons=(0.1, 0.05, 0.03), n_replicates=10, n_coarse=64)
+    summary = run_study(cfg)
+    assert all(s.n_ok == 10 for s in summary.per_eps)
+    n_blocks = 3  # ids 0-3, 4-7, 8-9
+    assert 0 < calls["drift"] <= n_blocks * cfg.n_coarse
+    assert sorted(calls["seeds"]) == [(cfg.seed, rid) for rid in range(10)]
+
+
+def test_list_sequences_in_config_are_normalized():
+    # a library caller may spell sequences as lists; the config is then hashable and
+    # runs, hashes and records exactly as the tuple spelling does
+    from fracmle.mcstudy import config_hash
+
+    lists = _small_cfg(
+        theta0=[1.0], x0=[1.0], hurst=[0.4], epsilons=[0.1], theta_domain=[[0.1, 5.0]], n_coarse=64
+    )
+    tuples = _small_cfg(theta_domain=((0.1, 5.0),), n_coarse=64)
+    assert lists == tuples and hash(lists) == hash(tuples)
+    assert config_hash(lists) == config_hash(tuples)
+    assert run_replicate(lists, 0.1, 0) == run_replicate(tuples, 0.1, 0)
+    assert run_study(dataclasses.replace(lists, n_replicates=3)).per_eps[0].n_ok == 3

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.stats import linregress
@@ -17,9 +19,9 @@ from fracmle import (
 )
 from fracmle.model import ModelSpec
 from fracmle.model import _zeros_theta_derivs
-from fracmle.rde import BLOWUP_GUARD
+from fracmle.rde import BLOWUP_GUARD, solve_rde_batch
 
-from conftest import sampled_lift
+from conftest import edge_cubic_model, sampled_lift
 
 
 def test_additive_noise_exact(h04):
@@ -260,3 +262,62 @@ def test_epsilon_domain(h04):
     rp = sampled_lift(h04, TimeGrid(1.0, 16, 0), 59)
     with pytest.raises(InputError):
         solve_rde(model, [1.0], 1.5, rp, [1.0])
+
+
+def _solve_or_error(model, theta, epsilon, rp, x0):
+    try:
+        return solve_rde(model, theta, epsilon, rp, x0)
+    except DivergenceError as exc:
+        return exc
+
+
+@pytest.mark.parametrize(
+    "model, hurst, refine, theta, x0, epsilons",
+    [
+        (get_model("linear1d"), (0.4,), 0, [1.0], [1.0], [0.1, 0.0, 0.03]),
+        (get_model("cross2d"), (0.4, 0.45), 2, [1.0, 2.0], [1.0, 1.0], [0.1, 0.05]),
+        (edge_cubic_model(), (0.4,), 1, [5.0], [1.0], [0.05, 0.1, 0.3]),
+        (replace(edge_cubic_model(), vectorized=False), (0.4,), 1, [5.0], [1.0], [0.05, 0.3]),
+    ],
+    ids=["linear1d", "cross2d", "edge-cubic", "edge-cubic-per-row"],
+)
+def test_batch_rows_match_single_path_solves(model, hurst, refine, theta, x0, epsilons):
+    # every row of one batched march is its single-path solve: the same states bit for
+    # bit, or the same DivergenceError with the same step and text
+    grid = TimeGrid(1.0, 64, refine)
+    rps = [sampled_lift(HurstVector(hurst), grid, (3, s)) for s in range(8)]
+    rows = [(eps, rp) for eps in epsilons for rp in rps]
+    out = solve_rde_batch(
+        model,
+        theta,
+        [eps for eps, _ in rows],
+        np.array([rp.coarse_increments for _, rp in rows]),
+        np.array([rp.coarse_areas for _, rp in rows]),
+        x0,
+        grid,
+    )
+    assert len(out) == len(rows)
+    for (eps, rp), got in zip(rows, out):
+        want = _solve_or_error(model, theta, eps, rp, x0)
+        assert type(got) is type(want)
+        if isinstance(want, DivergenceError):
+            assert got.step == want.step and str(got) == str(want)
+            assert str(got) == f"solution exceeded blow-up guard at step {got.step}"
+        else:
+            assert np.array_equal(got.states, want.states)
+            assert (got.epsilon, got.theta_used, got.grid) == (want.epsilon, want.theta_used, want.grid)
+            assert got.states.flags.c_contiguous and not got.states.flags.writeable
+    if model.name == "edge-cubic-test":
+        # the block mixes rows that diverge at different steps with rows that survive
+        steps = {o.step for o in out if isinstance(o, DivergenceError)}
+        assert len(steps) >= 2 and any(isinstance(o, Trajectory) for o in out)
+
+
+def test_batch_rejects_mismatched_driver_stack(h04):
+    rp = sampled_lift(h04, TimeGrid(1.0, 16, 0), 63)
+    inc, areas = rp.coarse_increments[None], rp.coarse_areas[None]
+    model = get_model("linear1d")
+    with pytest.raises(InputError, match="2 drivers with 1 components on 16 coarse steps"):
+        solve_rde_batch(model, [1.0], [0.1, 0.2], inc, areas, [1.0], rp.grid)
+    with pytest.raises(InputError, match="1 drivers with 2 components"):
+        solve_rde_batch(get_model("cross2d"), [1.0, 1.0], [0.1], inc, areas, [1.0, 1.0], rp.grid)
