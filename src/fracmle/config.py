@@ -107,12 +107,22 @@ SCHEMA = {
 }
 
 
+def _cast_integers(doc: dict, schema: dict) -> None:
+    """Cast each field the schema types as integer to int; the schema also admits 5.0."""
+    for key, sub in schema.get("properties", {}).items():
+        if key in doc and sub.get("type") == "integer":
+            doc[key] = int(doc[key])
+        elif key in doc and sub.get("type") == "object":
+            _cast_integers(doc[key], sub)
+
+
 def validate_config(doc: dict) -> dict:
     try:
         jsonschema.validate(doc, SCHEMA)
     except jsonschema.ValidationError as exc:
         path = ".".join(str(p) for p in exc.absolute_path) or "(top level)"
         raise ConfigError(f"config field {path}: {exc.message}") from None
+    _cast_integers(doc, SCHEMA)
     return doc
 
 
@@ -179,7 +189,7 @@ def resolve_seed(doc: dict, cli_seed) -> int:
             raise ConfigError(f"--seed must be non-negative, got {cli_seed}")
         return int(cli_seed)
     if "seed" in doc:
-        return int(doc["seed"])
+        return doc["seed"]
     raise ConfigError("a seed is required (pass --seed or set the config's seed field)")
 
 
@@ -194,21 +204,17 @@ def study_config_from(doc: dict, cli_seed=None, output_dir=None) -> StudyConfig:
     out = output_dir or doc.get("output", {}).get("dir")
     return StudyConfig(
         model=doc["model"]["name"],
-        theta0=tuple(theta0),
-        x0=tuple(x0),
-        hurst=tuple(hv.h),
-        epsilons=tuple(study["epsilons"]),
-        n_replicates=int(study["n_replicates"]),
+        theta0=theta0,
+        x0=x0,
+        hurst=hv.h,
+        epsilons=study["epsilons"],
+        n_replicates=study["n_replicates"],
         T=grid.T,
         n_coarse=grid.n_coarse,
         refine_level=grid.refine_level,
         optimizer=optimizer_from(doc),
         seed=resolve_seed(doc, cli_seed),
         output_dir=out,
-        theta_domain=(
-            tuple(tuple(row) for row in doc["model"]["theta_domain"])
-            if doc["model"].get("theta_domain")
-            else None
-        ),
-        gamma_refine=int(study.get("gamma_refine", 1)),
+        theta_domain=doc["model"].get("theta_domain"),
+        gamma_refine=study.get("gamma_refine", 1),
     )

@@ -6,10 +6,12 @@ replicate_id, component), so results are independent of the parallel
 execution layout and byte-identical across runs. Studies run in blocks of
 replicate ids: each id's driver is sampled and lifted once and shared by
 every epsilon level, and all (epsilon, id) paths of a block are solved in
-one batched march (R paths per step for a vectorized model). Failed
-replicates (divergence, optimization failure) are recorded and excluded
-from the moments, never silently dropped; a study with more than 20%
-failures is marked invalid.
+one batched march (R paths per step for a vectorized model). Gamma is
+computed before the blocks inline, and alongside them on a process pool,
+where its failure cancels the blocks not yet started. Failed replicates
+(divergence, optimization failure) are recorded and excluded from the
+moments, never silently dropped; a study with more than 20% failures is
+marked invalid.
 """
 
 from __future__ import annotations
@@ -96,9 +98,7 @@ class StudyConfig:
         return spec
 
     def canonical_dict(self) -> dict:
-        doc = dataclasses.asdict(self)
-        doc["optimizer"] = dataclasses.asdict(self.optimizer)
-        return doc
+        return dataclasses.asdict(self)
 
 
 @dataclass(frozen=True)
@@ -169,30 +169,25 @@ def _ode_states(model_name: str, theta_domain, theta0, x0, T, n_coarse, refine_l
     return solve_ode(spec, theta0, np.asarray(x0), grid)
 
 
-def _failed(epsilon: float, replicate_id: int, exc: FracmleError) -> ReplicateResult:
-    return ReplicateResult(
-        replicate_id, float(epsilon), True, f"{type(exc).__name__}: {exc}", None, None, None
-    )
-
-
-def _finish(cfg: StudyConfig, model: ModelSpec, epsilon: float, replicate_id: int, traj):
-    """Transform, estimate, score and sup-distance of one solved path; traj may instead
-    be the error that ended the replicate before."""
-    if isinstance(traj, FracmleError):
-        return _failed(epsilon, replicate_id, traj)
-    theta0 = np.asarray(cfg.theta0, dtype=float)
-    try:
-        ctx = build_context(traj, model, cfg.hurst_vector())
-        record = mle(ctx, cfg.optimizer, theta0=theta0)
-        _, grad0, _ = likelihood_parts(ctx, theta0, order=1)
-        score = tuple((epsilon * grad0).tolist())
-        ode = _ode_states(
-            cfg.model, cfg.theta_domain, cfg.theta0, cfg.x0, cfg.T, cfg.n_coarse, cfg.refine_level
-        )
-        sdist = sup_distance(traj, ode)
-        return ReplicateResult(replicate_id, float(epsilon), False, None, record, score, sdist)
-    except FracmleError as exc:
-        return _failed(epsilon, replicate_id, exc)
+def _finish(cfg: StudyConfig, model: ModelSpec, epsilon: float, replicate_id: int, outcome):
+    """Transform, estimate, score and sup-distance of one solved path; outcome is its
+    Trajectory or the error that ended the row before. Every failed row is built here."""
+    if not isinstance(outcome, FracmleError):
+        theta0 = np.asarray(cfg.theta0, dtype=float)
+        try:
+            ctx = build_context(outcome, model, cfg.hurst_vector())
+            record = mle(ctx, cfg.optimizer, theta0=theta0)
+            _, grad0, _ = likelihood_parts(ctx, theta0, order=1)
+            score = tuple((epsilon * grad0).tolist())
+            ode = _ode_states(
+                cfg.model, cfg.theta_domain, cfg.theta0, cfg.x0, cfg.T, cfg.n_coarse, cfg.refine_level
+            )
+            sdist = sup_distance(outcome, ode)
+            return ReplicateResult(replicate_id, float(epsilon), False, None, record, score, sdist)
+        except FracmleError as exc:
+            outcome = exc
+    reason = f"{type(outcome).__name__}: {outcome}"
+    return ReplicateResult(replicate_id, float(epsilon), True, reason, None, None, None)
 
 
 def _run_block(cfg: StudyConfig, epsilons: tuple, ids) -> list:
@@ -203,25 +198,22 @@ def _run_block(cfg: StudyConfig, epsilons: tuple, ids) -> list:
     of the block are solved in one batched march, then finished one by one.
     """
     model, grid = cfg.model_spec(), cfg.grid()
-    drivers = {}
+    outcomes = {}  # (epsilon, id) -> the driver's error, the solve's error or the Trajectory
+    drivers = []
     for rid in ids:
         try:
             rp = lift(sample_fbm(cfg.hurst_vector(), grid, (cfg.seed, rid)), grid)
-            drivers[rid] = (rp.coarse_increments, rp.coarse_areas)
+            drivers.append((rid, rp.coarse_increments, rp.coarse_areas))
         except FracmleError as exc:
-            drivers[rid] = exc
-    rows = [(eps, rid) for eps in epsilons for rid in ids]
-    sampled = [(eps, rid) for eps, rid in rows if isinstance(drivers[rid], tuple)]
-    solved = {}
-    if sampled:
-        inc, areas = zip(*(drivers[rid] for _, rid in sampled))
-        epss = [eps for eps, _ in sampled]
+            outcomes.update(((eps, rid), exc) for eps in epsilons)
+    if drivers:
+        epss, rids, inc, areas = zip(*((eps,) + drv for eps in epsilons for drv in drivers))
         try:
             paths = solve_rde_batch(model, cfg.theta0, epss, inc, areas, cfg.x0, grid)
         except FracmleError as exc:
-            paths = [exc] * len(sampled)
-        solved = dict(zip(sampled, paths))
-    return [_finish(cfg, model, e, rid, solved.get((e, rid), drivers[rid])) for e, rid in rows]
+            paths = repeat(exc)
+        outcomes.update(zip(zip(epss, rids), paths))
+    return [_finish(cfg, model, eps, rid, outcomes[eps, rid]) for eps in epsilons for rid in ids]
 
 
 def run_replicate(cfg: StudyConfig, epsilon: float, replicate_id: int) -> ReplicateResult:
@@ -345,40 +337,42 @@ def _study_gamma(cfg: StudyConfig) -> GammaMatrix:
     )
 
 
+def _gamma_and_results(cfg: StudyConfig, epsilons: tuple, blocks: list, jobs: int) -> tuple:
+    """Gamma and the results of all blocks, in block order; see run_study."""
+    if jobs > 1:
+        try:
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
+                pending = pool.map(_run_block, repeat(cfg), repeat(epsilons), blocks)
+                try:
+                    gamma = _study_gamma(cfg)
+                except BaseException:
+                    pool.shutdown(cancel_futures=True)
+                    raise
+                return gamma, [res for block in pending for res in block]
+        except OSError as exc:  # sandboxed environments
+            log.warning("process pool unavailable (%s); running serially", exc)
+    gamma = _study_gamma(cfg)
+    return gamma, [res for ids in blocks for res in _run_block(cfg, epsilons, ids)]
+
+
 def run_study(cfg: StudyConfig) -> StudySummary:
     """Run all replicates for every epsilon level and aggregate.
 
     Replicate ids run in blocks (all epsilon levels of an id in the same
-    block) in parallel worker processes (FRACMLE_THREADS or n_jobs; 1 runs
-    inline) while the calling process computes Gamma; aggregation and file
-    output happen in the calling process only, after all blocks joined. A
-    pool gets about 4 blocks per worker, to balance its load; inline, blocks
-    are as large as MAX_BLOCK_IDS allows.
+    block). Inline (FRACMLE_THREADS or n_jobs of 1), Gamma comes first, so
+    a study whose ODE limit cannot be solved fails before any block runs.
+    A pool of worker processes runs the blocks while the calling process
+    computes Gamma, and cancels the blocks not yet started if Gamma fails.
+    Aggregation and file output happen in the calling process only, after
+    all blocks joined. A pool gets about 4 blocks per worker, to balance its
+    load; inline, blocks are as large as MAX_BLOCK_IDS allows.
     """
     epsilons = tuple(dict.fromkeys(cfg.epsilons))
     jobs, n = _n_jobs(cfg), cfg.n_replicates
     size = min(MAX_BLOCK_IDS, -(-n // (4 * jobs)) if jobs > 1 else n)
     blocks = [range(lo, min(lo + size, n)) for lo in range(0, n, size)]
-    results = gamma = None
-    if jobs > 1:
-        try:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                pending = pool.map(_run_block, repeat(cfg), repeat(epsilons), blocks)
-                gamma = _study_gamma(cfg)
-                results = [res for block in pending for res in block]
-        except OSError as exc:  # sandboxed environments
-            log.warning("process pool unavailable (%s); running serially", exc)
-            results = None
-    if results is None:
-        results = [res for ids in blocks for res in _run_block(cfg, epsilons, ids)]
-    if gamma is None:
-        gamma = _study_gamma(cfg)
-
-    by_eps: dict = {eps: [] for eps in epsilons}
-    for res in results:
-        by_eps[res.epsilon].append(res)
-    for eps in epsilons:
-        by_eps[eps].sort(key=lambda res: res.replicate_id)
+    gamma, results = _gamma_and_results(cfg, epsilons, blocks, jobs)
+    by_eps = {eps: [res for res in results if res.epsilon == eps] for eps in epsilons}
 
     if gamma.a5_ok:
         gamma_inv = np.linalg.inv(gamma.matrix)

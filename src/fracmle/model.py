@@ -51,7 +51,9 @@ class ModelSpec:
     theta_linear: bool = False  # drift affine in theta; see module docstring
 
     def __post_init__(self):
-        dom = np.asarray(self.theta_domain, dtype=float).reshape(self.m, 2)
+        dom = np.asarray(self.theta_domain, dtype=float)
+        if dom.shape != (self.m, 2) or not np.all(np.isfinite(dom)):
+            raise InputError(f"theta_domain {dom.tolist()} is not {self.m} finite (lo, hi) pairs")
         if np.any(dom[:, 0] >= dom[:, 1]):
             raise InputError(f"degenerate parameter box {dom.tolist()}")
         dom.setflags(write=False)
@@ -273,32 +275,24 @@ def finite_difference_check(model: ModelSpec, n_probes: int = 50, seed: int = 0)
     step = 1e-5
     rng = Generator(Philox(SeedSequence(entropy=(int(seed), 0xFD))))
     dom = model.theta_domain
-    worst_dx = 0.0
-    worst_dth = 0.0
+
+    def rel_error(exact, f, at):  # of the Jacobian exact of f at `at`, scaled by max(1, |exact|)
+        exact = np.asarray(exact, dtype=float).reshape(model.d, at.size)
+        fd = np.empty_like(exact)
+        for c in range(at.size):
+            e = np.zeros(at.size)
+            e[c] = step
+            fd[:, c] = (np.asarray(f(at + e)) - np.asarray(f(at - e))) / (2 * step)
+        return np.max(np.abs(fd - exact)) / max(1.0, np.max(np.abs(exact)))
+
+    worst_dx = worst_dth = 0.0
     for _ in range(n_probes):
         x = rng.uniform(-2.0, 2.0, size=model.d)
         width = dom[:, 1] - dom[:, 0]
         th = rng.uniform(dom[:, 0] + 0.1 * width, dom[:, 1] - 0.1 * width)
-        jac = np.asarray(model.drift_dx(x, th), dtype=float).reshape(model.d, model.d)
-        fd = np.empty_like(jac)
-        for c in range(model.d):
-            e = np.zeros(model.d)
-            e[c] = step
-            fd[:, c] = (
-                np.asarray(model.drift(x + e, th)) - np.asarray(model.drift(x - e, th))
-            ) / (2 * step)
-        scale = max(1.0, np.max(np.abs(jac)))
-        worst_dx = max(worst_dx, np.max(np.abs(fd - jac)) / scale)
-        dth = np.asarray(model.drift_dtheta[0](x, th), dtype=float).reshape(model.d, model.m)
-        fdt = np.empty_like(dth)
-        for c in range(model.m):
-            e = np.zeros(model.m)
-            e[c] = step
-            fdt[:, c] = (
-                np.asarray(model.drift(x, th + e)) - np.asarray(model.drift(x, th - e))
-            ) / (2 * step)
-        scale = max(1.0, np.max(np.abs(dth)))
-        worst_dth = max(worst_dth, np.max(np.abs(fdt - dth)) / scale)
+        worst_dx = max(worst_dx, rel_error(model.drift_dx(x, th), lambda y: model.drift(y, th), x))
+        err_th = rel_error(model.drift_dtheta[0](x, th), lambda t: model.drift(x, t), th)
+        worst_dth = max(worst_dth, err_th)
     return worst_dx, worst_dth
 
 

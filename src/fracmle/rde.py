@@ -48,6 +48,8 @@ def _checked_x0(model: ModelSpec, x0) -> np.ndarray:
     x = np.atleast_1d(np.asarray(x0, dtype=float))
     if x.shape != (model.d,):
         raise InputError(f"x0 has shape {x.shape}, model expects ({model.d},)")
+    if not np.all(np.isfinite(x)):
+        raise InputError(f"non-finite x0 {x.tolist()}")
     return x
 
 
@@ -59,7 +61,8 @@ def _march(steps, x0: np.ndarray, n_steps: int, what: str):
     Also returns per path None or the DivergenceError of its first step whose state is
     non-finite or past BLOWUP_GUARD (the negated test catches NaN). The guard is one
     reduction over all rows; only when it fails are the crossing rows found and dropped,
-    so no callback sees their states again; their later states stay unset.
+    so no callback sees their states again; their later states stay unset. Overflow
+    inside a step is not warned about: the guard reports it as that step's divergence.
     """
     x = x0.copy()  # callbacks never see the caller's array
     states = np.moveaxis(np.empty(x.shape[:-1] + (n_steps + 1, x.shape[-1])), -2, 0)
@@ -67,18 +70,19 @@ def _march(steps, x0: np.ndarray, n_steps: int, what: str):
     errors = [None] * len(np.atleast_2d(x))
     live = slice(None)
     step = steps(live)
-    for k in range(n_steps):
-        x = step(k, x)
-        if not np.abs(x).max() <= BLOWUP_GUARD:
-            ok = np.abs(np.atleast_2d(x)).max(axis=1) <= BLOWUP_GUARD
-            rows = np.arange(len(errors))[live]
-            for i in rows[~ok]:
-                errors[i] = DivergenceError(f"{what} exceeded blow-up guard at step {k}", step=k)
-            live = rows[ok]
-            if not live.size:
-                break
-            x, step = x[ok], steps(live)
-        states[k + 1, live] = x
+    with np.errstate(over="ignore"):
+        for k in range(n_steps):
+            x = step(k, x)
+            if not np.abs(x).max() <= BLOWUP_GUARD:
+                ok = np.abs(np.atleast_2d(x)).max(axis=1) <= BLOWUP_GUARD
+                rows = np.arange(len(errors))[live]
+                for i in rows[~ok]:
+                    errors[i] = DivergenceError(f"{what} exceeded blow-up guard at step {k}", step=k)
+                live = rows[ok]
+                if not live.size:
+                    break
+                x, step = x[ok], steps(live)
+            states[k + 1, live] = x
     states.setflags(write=False)
     return states, errors
 

@@ -361,6 +361,51 @@ def test_negative_config_seed_is_validation_error(tmp_path, linear_config):
     assert "seed" in res.stderr
 
 
+@pytest.mark.parametrize(
+    "command, section, key, value",
+    [("estimate", "optimizer", "n_starts", 5), ("selftest", "probe", "n_pairs", 50)],
+)
+def test_integer_option_written_as_float_runs_as_the_integer(
+    tmp_path, linear_config, command, section, key, value
+):
+    # the schema admits 5.0 where it types an integer; such a config runs as 5 does
+    _, doc = linear_config
+    seed = ("--seed", "11") if command == "estimate" else ()
+    outputs = []
+    for spelling in (value, float(value)):
+        cfg = _write(tmp_path, dict(doc, **{section: {key: spelling}}))
+        res = run_cli(command, "--config", str(cfg), *seed)
+        assert res.returncode == 0, res.stderr
+        assert "Traceback" not in res.stderr
+        outputs.append(res.stdout)
+    assert outputs[0] == outputs[1]
+
+
+def test_validate_config_casts_every_integer_field(linear_config):
+    from fracmle.config import SCHEMA, validate_config
+
+    _, doc = linear_config
+    doc = dict(
+        doc,
+        grid={"T": 1.0, "n_coarse": 128.0, "refine_level": 1.0},
+        optimizer={"n_starts": 5.0, "max_iter": 40.0},
+        study={"epsilons": [0.1], "n_replicates": 40.0, "gamma_refine": 2.0},
+        probe={"n_points": 100.0, "n_pairs": 50.0, "n_theta": 10.0},
+        seed=7.0,
+    )
+    doc = validate_config(doc)
+    fields = [("seed", None)] + [
+        (section, key)
+        for section, sub in SCHEMA["properties"].items()
+        for key, spec in sub.get("properties", {}).items()
+        if spec.get("type") == "integer"
+    ]
+    assert len(fields) == 10
+    for section, key in fields:
+        value = doc[section] if key is None else doc[section][key]
+        assert type(value) is int, (section, key)
+
+
 def test_missing_config_file():
     res = run_cli("estimate", "--config", "/nonexistent/cfg.json", "--seed", "1")
     assert res.returncode == 2

@@ -325,6 +325,64 @@ def test_replicate_failure_recorded():
     assert doc["failed"] and doc["theta_hat"] is None
 
 
+def test_unsolvable_limit_ends_inline_study_before_any_replicate(monkeypatch):
+    # inline, Gamma comes first: an ODE limit that overflows inside an RK4 step ends the
+    # study in a DivergenceError (not an overflow warning) before any driver is sampled
+    import fracmle.mcstudy as mc
+    from fracmle import DivergenceError
+
+    seeds = []
+    real = mc.sample_fbm
+
+    def sample(hurst, grid, seed):
+        seeds.append(seed)
+        return real(hurst, grid, seed)
+
+    monkeypatch.setattr(mc, "sample_fbm", sample)
+    with pytest.raises(DivergenceError, match="ODE flow exceeded blow-up guard at step 1"):
+        run_study(_explosive_cfg(3))
+    assert seeds == []
+
+
+def test_pool_cancels_pending_blocks_when_gamma_fails(monkeypatch):
+    # on a pool, Gamma runs while the blocks are queued; when it fails, the blocks not
+    # yet started are cancelled instead of run to completion by the pool's shutdown
+    import fracmle.mcstudy as mc
+    from fracmle import DivergenceError
+
+    shutdowns, ran = [], []
+
+    class LazyPool:
+        # map only queues; shutdown runs the blocks not cancelled, as a real pool does
+        def __init__(self, max_workers):
+            self.queued = []
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.shutdown()
+
+        def map(self, fn, *iterables):
+            self.queued = [(fn, args) for args in zip(*iterables)]
+            return iter(())
+
+        def shutdown(self, wait=True, cancel_futures=False):
+            shutdowns.append(cancel_futures)
+            if cancel_futures:
+                self.queued = []
+            for fn, args in self.queued:
+                fn(*args)
+            self.queued = []
+
+    monkeypatch.setattr(mc, "ProcessPoolExecutor", LazyPool)
+    monkeypatch.setattr(mc, "_run_block", lambda cfg, epsilons, ids: ran.append(ids))
+    with pytest.raises(DivergenceError, match="ODE flow exceeded blow-up guard"):
+        run_study(dataclasses.replace(_explosive_cfg(6), n_jobs=2))
+    assert shutdowns[0] is True
+    assert ran == []
+
+
 def test_study_failure_gate(monkeypatch):
     # more than 20% failed replicates marks the study invalid; failures are
     # counted, never silently dropped

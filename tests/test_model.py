@@ -185,6 +185,30 @@ def test_domain_override():
         get_model("linear1d").with_domain([[2.0, 1.0]])
 
 
+@pytest.mark.parametrize(
+    "box",
+    [[[0.1, 5.0], [0.1, 5.0]], [[0.1]], [[0.1, np.inf]], [[np.nan, 5.0]]],
+    ids=["two-rows", "one-column", "infinite", "nan"],
+)
+def test_parameter_box_must_be_m_finite_pairs(box):
+    # a box that is not m finite (lo, hi) pairs is a typed InputError wherever a model is
+    # built from it, including a study replicate (not a raw ValueError from a reshape)
+    from fracmle import StudyConfig, run_replicate
+
+    lin = get_model("linear1d")
+    cfg = StudyConfig(
+        model="linear1d", theta0=(1.0,), x0=(1.0,), hurst=(0.4,), epsilons=(0.1,),
+        n_replicates=2, n_coarse=32, theta_domain=box,
+    )
+    for build in (
+        lambda: dataclasses.replace(lin, theta_domain=box),
+        lambda: lin.with_domain(box),
+        lambda: run_replicate(cfg, 0.1, 0),
+    ):
+        with pytest.raises(InputError, match=r"is not 1 finite \(lo, hi\) pairs"):
+            build()
+
+
 def _probe_reference(model, probe, seed):
     """The assumption probe as a loop of single-state callback calls."""
     rng = Generator(Philox(SeedSequence(entropy=(int(seed), 0xA55E))))

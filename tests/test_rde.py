@@ -321,3 +321,19 @@ def test_batch_rejects_mismatched_driver_stack(h04):
         solve_rde_batch(model, [1.0], [0.1, 0.2], inc, areas, [1.0], rp.grid)
     with pytest.raises(InputError, match="1 drivers with 2 components"):
         solve_rde_batch(get_model("cross2d"), [1.0, 1.0], [0.1], inc, areas, [1.0, 1.0], rp.grid)
+
+
+@pytest.mark.parametrize("solve", ["solve_rde", "solve_ode", "gamma_matrix"])
+def test_non_finite_x0_is_input_error(solve):
+    # a NaN start is a bad input, not a divergence at step 0
+    from fracmle import gamma_matrix
+
+    model, hv, grid = get_model("linear1d"), HurstVector((0.4,)), TimeGrid(1.0, 16, 0)
+    rp = lift(sample_fbm(hv, grid, 1), grid)
+    calls = {
+        "solve_rde": lambda: solve_rde(model, [1.0], 0.1, rp, [np.nan]),
+        "solve_ode": lambda: solve_ode(model, [1.0], [np.nan], grid),
+        "gamma_matrix": lambda: gamma_matrix(model, [1.0], hv, grid, [np.nan]),
+    }
+    with pytest.raises(InputError, match="non-finite x0"):
+        calls[solve]()
