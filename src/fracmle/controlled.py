@@ -64,6 +64,7 @@ def rough_integral(z: ControlledPath, rp: RoughPath, s: float, t: float) -> np.n
 def controlled_compose(phi, phi_dx, x: ControlledPath) -> ControlledPath:
     """Push a state-valued controlled path through a C^2 map phi: R^d -> R^(d x r).
 
+    phi and phi_dx take the (N+1, d) stack of states, as model callbacks do.
     Values become phi(X_t); the Gubinelli derivative becomes
     grad phi(X_t) X'_t by the chain rule.
     """
@@ -71,12 +72,12 @@ def controlled_compose(phi, phi_dx, x: ControlledPath) -> ControlledPath:
         raise InputError("controlled_compose expects a state-valued controlled path (N+1, d)")
     n1, d = x.values.shape
     r = x.driver.r
-    vals = np.empty((n1, d, r))
-    gub = np.empty((n1, d, r, r))
-    for k in range(n1):
-        vals[k] = np.asarray(phi(x.values[k]), dtype=float).reshape(d, r)
-        dphi = np.asarray(phi_dx(x.values[k]), dtype=float).reshape(d, r, d)
-        gub[k] = np.einsum("aic,cj->aij", dphi, x.gubinelli[k])
+    vals, dphi = (np.asarray(f(x.values), dtype=float) for f in (phi, phi_dx))
+    try:
+        vals, dphi = vals.reshape(n1, d, r), dphi.reshape(n1, d, r, d)
+    except ValueError:
+        raise InputError(f"phi, phi_dx returned {vals.shape}, {dphi.shape} for {n1} states") from None
+    gub = np.einsum("kaic,kcj->kaij", dphi, x.gubinelli)
     return ControlledPath(values=vals, gubinelli=gub, driver=x.driver)
 
 

@@ -47,7 +47,7 @@ class PoleError(FracmleError, ValueError):
 
 
 class ResourceError(FracmleError, RuntimeError):
-    """Requested grid or matrix would exceed the configured memory guard."""
+    """Requested grid or matrix would exceed the memory guard, or a worker process died."""
 
 
 class StandardizationError(FracmleError, RuntimeError):

@@ -6,7 +6,7 @@ replicate_id, component), so results are independent of the parallel
 execution layout and byte-identical across runs. Studies run in blocks of
 replicate ids: each id's driver is sampled and lifted once and shared by
 every epsilon level, and all (epsilon, id) paths of a block are solved in
-one batched march (R paths per step for a vectorized model). Gamma is
+one batched march, with one call of each callback per step. Gamma is
 computed before the blocks inline, and alongside them on a process pool,
 where its failure cancels the blocks not yet started. Failed replicates
 (divergence, optimization failure) are recorded and excluded from the
@@ -22,7 +22,7 @@ import json
 import logging
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import repeat
@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, FracmleError, InputError, StandardizationError
+from .errors import ConfigError, FracmleError, InputError, ResourceError, StandardizationError
 from .fbm import HurstVector, TimeGrid, lift, sample_fbm
 from .inference import (
     EstimateRecord,
@@ -42,7 +42,7 @@ from .inference import (
     likelihood_parts,
     mle,
 )
-from .model import ModelSpec, get_model
+from .model import ModelSpec, get_model, numeric_box
 from .rde import solve_ode, solve_rde_batch, sup_distance
 
 log = logging.getLogger(__name__)
@@ -76,6 +76,7 @@ class StudyConfig:
         for name in ("theta0", "x0", "hurst", "epsilons"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
         if self.theta_domain is not None:
+            numeric_box(self.theta_domain)
             object.__setattr__(self, "theta_domain", tuple(map(tuple, self.theta_domain)))
         if self.n_replicates < 2:
             raise InputError("n_replicates must be at least 2")
@@ -349,6 +350,8 @@ def _gamma_and_results(cfg: StudyConfig, epsilons: tuple, blocks: list, jobs: in
                     pool.shutdown(cancel_futures=True)
                     raise
                 return gamma, [res for block in pending for res in block]
+        except BrokenExecutor as exc:  # not a fallback: the blocks would run twice
+            raise ResourceError(f"a study worker process died: {exc}") from exc
         except OSError as exc:  # sandboxed environments
             log.warning("process pool unavailable (%s); running serially", exc)
     gamma = _study_gamma(cfg)

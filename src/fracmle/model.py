@@ -1,14 +1,14 @@
 """Parametric drift/diffusion model bundles and numerical assumption probes.
 
-Models are immutable callback bundles registered by name. Callbacks take
-single states: drift(x, theta) -> (d,), drift_dx -> (d, d) with
-[a, c] = d b_a / d x_c, drift_dtheta[k-1] -> (d, m, ..., m) with k theta
-axes, diffusion(x) -> (d, r), diffusion_dx -> (d, r, d), diffusion_dxx
--> (d, r, d, d). A model may declare vectorized=True, in which case every
-callback also accepts a stacked x of shape (n, d) and returns the
-corresponding (n, ...) stack; the pipeline then evaluates whole paths in
-one call, and the assumption probe evaluates each callback once per
-parameter draw over its whole state lattice.
+Models are immutable callback bundles registered by name. Every callback
+takes an (n, d) stack of states and returns the matching stack:
+drift(x, theta) -> (n, d), drift_dx -> (n, d, d) with
+[k, a, c] = d b_a / d x_c at state k, drift_dtheta[k-1] -> (n, d, m, ..., m)
+with k theta axes, diffusion(x) -> (n, d, r), diffusion_dx -> (n, d, r, d),
+diffusion_dxx -> (n, d, r, d, d). A single state is the stack with n = 1.
+The pipeline evaluates whole paths, and the solver all paths of a step, in
+one call; the assumption probe evaluates each callback once per parameter
+draw over its whole state lattice.
 
 A model whose drift is affine in theta, b(x, theta) = b0(x) + B(x) theta,
 may declare theta_linear=True. Its log-likelihood is then exactly
@@ -47,11 +47,10 @@ class ModelSpec:
     diffusion: Callable
     diffusion_dx: Callable
     diffusion_dxx: Callable
-    vectorized: bool = False
     theta_linear: bool = False  # drift affine in theta; see module docstring
 
     def __post_init__(self):
-        dom = np.asarray(self.theta_domain, dtype=float)
+        dom = numeric_box(self.theta_domain)
         if dom.shape != (self.m, 2) or not np.all(np.isfinite(dom)):
             raise InputError(f"theta_domain {dom.tolist()} is not {self.m} finite (lo, hi) pairs")
         if np.any(dom[:, 0] >= dom[:, 1]):
@@ -84,22 +83,32 @@ class ModelSpec:
 
     def with_domain(self, theta_domain) -> "ModelSpec":
         """Same model on a different parameter box (config override)."""
-        return replace(self, theta_domain=np.asarray(theta_domain, dtype=float))
+        return replace(self, theta_domain=theta_domain)
+
+
+def numeric_box(box) -> np.ndarray:
+    """box as a float array; InputError unless it is a 2-D numeric array."""
+    try:
+        dom = np.asarray(box, dtype=float)
+    except (TypeError, ValueError):
+        dom = None
+    if dom is None or dom.ndim != 2:
+        raise InputError(f"parameter box {box!r} is not a 2-D numeric array")
+    return dom
 
 
 def eval_drift(model: ModelSpec, x, theta) -> np.ndarray:
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if not np.all(np.isfinite(x)):
         raise InputError("non-finite state")
-    theta = model.check_theta(theta)
-    return np.asarray(model.drift(x, theta), dtype=float)
+    return eval_path(model, model.drift, x[None], (model.d,), model.check_theta(theta))[0]
 
 
 def eval_diffusion(model: ModelSpec, x) -> np.ndarray:
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if not np.all(np.isfinite(x)):
         raise InputError("non-finite state")
-    return np.asarray(model.diffusion(x), dtype=float).reshape(model.d, model.r)
+    return eval_path(model, model.diffusion, x[None], (model.d, model.r))[0]
 
 
 def eval_A_inverse(model: ModelSpec, x) -> np.ndarray:
@@ -128,16 +137,13 @@ def _checked_inverse(a: np.ndarray, states: np.ndarray) -> np.ndarray:
 
 
 def eval_path(model: ModelSpec, fn, states: np.ndarray, base_shape: tuple, theta=None) -> np.ndarray:
-    """Evaluate a callback along a stacked path, batched when supported."""
-    n1 = states.shape[0]
-    if model.vectorized:
-        out = fn(states) if theta is None else fn(states, theta)
-        return np.asarray(out, dtype=float).reshape((n1,) + base_shape)
-    out = np.empty((n1,) + base_shape)
-    for k in range(n1):
-        v = fn(states[k]) if theta is None else fn(states[k], theta)
-        out[k] = np.asarray(v, dtype=float).reshape(base_shape)
-    return out
+    """A callback of model on an (n, d) stack of states, in one call, as (n,) + base_shape."""
+    out = np.asarray(fn(states) if theta is None else fn(states, theta), dtype=float)
+    shape = (states.shape[0],) + base_shape
+    try:
+        return out.reshape(shape)
+    except ValueError:
+        raise InputError(f"{model.name} callback returned shape {out.shape}, not {shape}") from None
 
 
 def sigma_weighted(model: ModelSpec, x):
@@ -280,14 +286,14 @@ def finite_difference_check(model: ModelSpec, n_probes: int = 50, seed: int = 0)
         exact = np.asarray(exact, dtype=float).reshape(model.d, at.size)
         fd = np.empty_like(exact)
         for c in range(at.size):
-            e = np.zeros(at.size)
-            e[c] = step
-            fd[:, c] = (np.asarray(f(at + e)) - np.asarray(f(at - e))) / (2 * step)
+            e = np.zeros(at.shape)
+            e.flat[c] = step
+            fd[:, c] = (np.asarray(f(at + e)) - np.asarray(f(at - e))).ravel() / (2 * step)
         return np.max(np.abs(fd - exact)) / max(1.0, np.max(np.abs(exact)))
 
     worst_dx = worst_dth = 0.0
     for _ in range(n_probes):
-        x = rng.uniform(-2.0, 2.0, size=model.d)
+        x = rng.uniform(-2.0, 2.0, size=(1, model.d))  # one state, as a (1, d) stack
         width = dom[:, 1] - dom[:, 0]
         th = rng.uniform(dom[:, 0] + 0.1 * width, dom[:, 1] - 0.1 * width)
         worst_dx = max(worst_dx, rel_error(model.drift_dx(x, th), lambda y: model.drift(y, th), x))
@@ -322,11 +328,8 @@ def available_models():
 
 
 def _batched(x, base_shape, fill):
-    """Constant-callback helper honoring the stacked-state contract."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 2:
-        return np.broadcast_to(fill, (x.shape[0],) + base_shape).copy()
-    return fill.copy()
+    """The constant fill of shape base_shape, once per state of x."""
+    return np.full(np.shape(x)[:-1] + base_shape, fill)
 
 
 def _zeros_theta_derivs(d: int, m: int, from_order: int):
@@ -358,10 +361,7 @@ def _linear1d() -> ModelSpec:
         return _batched(x, (1, 1), np.array([[-th[0]]]))
 
     def dth1(x, th):
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 2:
-            return -x[:, :, None]
-        return np.array([[-x[0]]])
+        return -np.asarray(x, dtype=float)[..., None]
 
     return ModelSpec(
         name="linear1d",
@@ -373,7 +373,6 @@ def _linear1d() -> ModelSpec:
         drift_dx=drift_dx,
         drift_dtheta=(dth1,) + _zeros_theta_derivs(1, 1, 2),
         **_UNIT_NOISE,
-        vectorized=True,
         theta_linear=True,
     )
 
@@ -430,7 +429,6 @@ def _cross2d() -> ModelSpec:
         diffusion=diffusion,
         diffusion_dx=diffusion_dx,
         diffusion_dxx=diffusion_dxx,
-        vectorized=True,
         theta_linear=True,
     )
 
@@ -452,7 +450,6 @@ def _const1d() -> ModelSpec:
         drift_dtheta=(lambda x, th: _batched(x, (1, 1), np.ones((1, 1))),)
         + _zeros_theta_derivs(1, 1, 2),
         **_UNIT_NOISE,
-        vectorized=True,
         theta_linear=True,
     )
 
@@ -469,7 +466,6 @@ def _zero1d() -> ModelSpec:
         drift_dx=lambda x, th: _batched(x, (1, 1), np.zeros((1, 1))),
         drift_dtheta=_zeros_theta_derivs(1, 1, 1),
         **_UNIT_NOISE,
-        vectorized=True,
         theta_linear=True,
     )
 
@@ -482,8 +478,7 @@ def _geom1d() -> ModelSpec:
     """
 
     def diffusion(x):
-        x = np.asarray(x, dtype=float)
-        return x[..., :, None] if x.ndim == 2 else np.array([[x[0]]])
+        return np.asarray(x, dtype=float)[..., None]
 
     return ModelSpec(
         name="geom1d",
@@ -497,7 +492,6 @@ def _geom1d() -> ModelSpec:
         diffusion=diffusion,
         diffusion_dx=lambda x: _batched(x, (1, 1, 1), np.ones((1, 1, 1))),
         diffusion_dxx=lambda x: _batched(x, (1, 1, 1, 1), np.zeros((1, 1, 1, 1))),
-        vectorized=True,
     )
 
 

@@ -11,11 +11,11 @@ eps sigma(X). The deterministic limit, integrated by classic RK4, is the
 eps = 0 Trajectory; one march with one blow-up guard steps both schemes.
 
 solve_rde_batch steps R paths of one theta, each with its own eps and
-driver, as one (R, d) state with one stacked callback call per step (a
-model that is not vectorized runs one row at a time); solve_rde and
-solve_ode march a single (d,) state. A row that leaves the guard is dropped
-and carries the DivergenceError its single-path solve raises; every other
-row is bit-identical to its single-path solve.
+driver, as one (R, d) stack of states with one call of each callback per
+step; solve_rde and solve_ode march the stack of one path, R = 1. A row
+that leaves the guard is dropped and carries the DivergenceError its
+single-path solve raises; every other row is bit-identical to its
+single-path solve.
 """
 
 from __future__ import annotations
@@ -54,9 +54,9 @@ def _checked_x0(model: ModelSpec, x0) -> np.ndarray:
 
 
 def _march(steps, x0: np.ndarray, n_steps: int, what: str):
-    """Read-only states (n_steps + 1,) + x0.shape of x_{k+1} = step(k, x_k) for one path,
-    x0 (d,), or R paths, x0 (R, d), each path contiguous; step = steps(live) steps the
-    rows live (a slice, or an index array once a row has failed).
+    """Read-only states (n_steps + 1, R, d) of x_{k+1} = step(k, x_k) for R paths, x0
+    (R, d), each path contiguous; step = steps(live) steps the (len(live), d) stack of
+    the rows live (a slice, or an index array once a row has failed).
 
     Also returns per path None or the DivergenceError of its first step whose state is
     non-finite or past BLOWUP_GUARD (the negated test catches NaN). The guard is one
@@ -65,16 +65,16 @@ def _march(steps, x0: np.ndarray, n_steps: int, what: str):
     inside a step is not warned about: the guard reports it as that step's divergence.
     """
     x = x0.copy()  # callbacks never see the caller's array
-    states = np.moveaxis(np.empty(x.shape[:-1] + (n_steps + 1, x.shape[-1])), -2, 0)
+    states = np.moveaxis(np.empty((len(x), n_steps + 1, x.shape[1])), 1, 0)
     states[0] = x
-    errors = [None] * len(np.atleast_2d(x))
+    errors = [None] * len(x)
     live = slice(None)
     step = steps(live)
     with np.errstate(over="ignore"):
         for k in range(n_steps):
             x = step(k, x)
             if not np.abs(x).max() <= BLOWUP_GUARD:
-                ok = np.abs(np.atleast_2d(x)).max(axis=1) <= BLOWUP_GUARD
+                ok = np.abs(x).max(axis=1) <= BLOWUP_GUARD
                 rows = np.arange(len(errors))[live]
                 for i in rows[~ok]:
                     errors[i] = DivergenceError(f"{what} exceeded blow-up guard at step {k}", step=k)
@@ -95,8 +95,8 @@ def solve_rde_batch(
     Row i has noise level epsilons[i] and the coarse increments[i] (n_coarse, r) and
     areas[i] (n_coarse, r, r) of its driver on grid. Its entry of the returned list is
     its Trajectory, or the DivergenceError (with its step) that solve_rde raises on that
-    driver. A vectorized model steps all rows as one (R, d) state; any other model, and
-    a single row, is stepped one (d,) state at a time.
+    driver. All rows are stepped as one (R, d) stack, with the drift, diffusion and
+    diffusion_dx of each step taken through eval_path.
     """
     theta = model.check_theta(theta)
     for epsilon in epsilons:
@@ -117,32 +117,26 @@ def solve_rde_batch(
         e2 = e * e
 
         def step(k, x):
-            lead = x.shape[:-1]
-            b = np.asarray(model.drift(x, theta), dtype=float)
-            sig = np.asarray(model.diffusion(x), dtype=float).reshape(lead + (d, r))
-            dsig = np.asarray(model.diffusion_dx(x), dtype=float).reshape(lead + (d, r, d))
+            b = eval_path(model, model.drift, x, (d,), theta)
+            sig = eval_path(model, model.diffusion, x, (d, r))
+            dsig = eval_path(model, model.diffusion_dx, x, (d, r, d))
             g = dsig @ sig[..., None, :, :]
             noise = (sig @ dB[k][..., None])[..., 0]
             return x + b * dt + e * noise + e2 * np.einsum("...aij,...ji->...a", g, A[k])
 
         return step
 
-    if model.vectorized and n_rows > 1:
-        inc_t, areas_t = inc.swapaxes(0, 1), areas.swapaxes(0, 1)  # step-major views
-        states, errors = _march(
-            lambda live: davie(eps[live, None], inc_t[:, live], areas_t[:, live]),
-            np.repeat(x0[None], n_rows, axis=0),
-            n,
-            "solution",
-        )
-        paths = [states[:, i] for i in range(n_rows)]
-    else:
-        rows = [_march(lambda _: davie(eps[i], inc[i], areas[i]), x0, n, "solution") for i in range(n_rows)]
-        paths, errors = [path for path, _ in rows], [err for _, (err,) in rows]
+    inc_t, areas_t = inc.swapaxes(0, 1), areas.swapaxes(0, 1)  # step-major views
+    states, errors = _march(
+        lambda live: davie(eps[live, None], inc_t[:, live], areas_t[:, live]),
+        np.repeat(x0[None], n_rows, axis=0),
+        n,
+        "solution",
+    )
     theta_used = tuple(theta.tolist())
     return [
-        Trajectory(path, float(epsilon), theta_used, grid) if err is None else err
-        for path, epsilon, err in zip(paths, eps, errors)
+        Trajectory(states[:, i], float(epsilon), theta_used, grid) if err is None else err
+        for i, (epsilon, err) in enumerate(zip(eps, errors))
     ]
 
 
@@ -173,10 +167,11 @@ def solve_ode(model: ModelSpec, theta0, x0, grid: TimeGrid) -> Trajectory:
         k4 = f(x + dt * k3)
         return x + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
 
-    states, (err,) = _march(lambda _: rk4, _checked_x0(model, x0), grid.n_coarse, "ODE flow")
+    x0 = _checked_x0(model, x0)[None]
+    states, (err,) = _march(lambda _: rk4, x0, grid.n_coarse, "ODE flow")
     if err is not None:
         raise err
-    return Trajectory(states=states, epsilon=0.0, theta_used=tuple(theta0.tolist()), grid=grid)
+    return Trajectory(states[:, 0], epsilon=0.0, theta_used=tuple(theta0.tolist()), grid=grid)
 
 
 def sup_distance(xeps: Trajectory, x: Trajectory) -> float:

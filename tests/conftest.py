@@ -1,4 +1,5 @@
 import dataclasses
+import os
 
 import numpy as np
 import pytest
@@ -15,6 +16,17 @@ def sampled_lift(hurst, grid, seed):
     return lift(sample_fbm(hurst, grid, seed), grid)
 
 
+_PARENT_PID = os.getpid()
+
+
+def die_in_worker(cfg, epsilons, ids):
+    """A stand-in for a study block that kills the worker process running it; run in
+    the calling process (a serial fallback), it fails the test instead."""
+    if os.getpid() != _PARENT_PID:
+        os._exit(1)
+    raise AssertionError("a study block ran in the calling process")
+
+
 def trapezoid_weights(grid):
     w = np.full(grid.n_coarse + 1, grid.dt)
     w[0] = w[-1] = 0.5 * grid.dt
@@ -22,7 +34,7 @@ def trapezoid_weights(grid):
 
 
 def edge_cubic_model(name="edge-cubic-test"):
-    """Vectorized b = theta (x^3 - x), sigma = 1, theta-linear: from x0 = 1, the unstable
+    """b = theta (x^3 - x), sigma = 1, theta-linear: from x0 = 1, the unstable
     equilibrium, a path the noise pushes up passes the blow-up guard within T = 1 and one
     pushed down settles near 0. Its callbacks fail on any state that is non-finite or
     past the guard, so a dropped row that reached one would show."""

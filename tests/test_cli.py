@@ -7,6 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import die_in_worker
+
 
 def run_cli(*args, env=None):
     return subprocess.run(
@@ -252,6 +254,24 @@ def test_mc_study_and_artifacts(tmp_path):
     assert out["valid"]
     assert (tmp_path / "study" / "records.jsonl").exists()
     assert (tmp_path / "study" / "manifest.json").exists()
+
+
+def test_mc_dead_worker_is_runtime_error(tmp_path, monkeypatch, capsys):
+    # a worker process that dies ends as a typed error with exit code 1, not a traceback
+    import fracmle.mcstudy as mc
+    from fracmle.cli import main
+
+    doc = {
+        "model": {"name": "linear1d", "theta0": [1.0], "x0": [1.0]},
+        "grid": {"T": 1.0, "n_coarse": 64},
+        "hurst": 0.4,
+        "study": {"epsilons": [0.1], "n_replicates": 4},
+        "seed": 99,
+    }
+    monkeypatch.setenv("FRACMLE_THREADS", "2")
+    monkeypatch.setattr(mc, "_run_block", die_in_worker)
+    assert main(["mc", "--config", str(_write(tmp_path, doc))]) == 1
+    assert capsys.readouterr().err.startswith("error: ResourceError: a study worker process died")
 
 
 def test_mc_requires_seed(tmp_path):

@@ -89,9 +89,20 @@ def test_compose_constant_map(h04):
         values=np.linspace(0, 1, n1)[:, None], gubinelli=np.ones((n1, 1, 1)), driver=rp
     )
     c = np.array([[2.5]])
-    out = controlled_compose(lambda x: c, lambda x: np.zeros((1, 1, 1)), state)
+    out = controlled_compose(
+        lambda x: np.broadcast_to(c, (len(x), 1, 1)), lambda x: np.zeros((len(x), 1, 1, 1)), state
+    )
     assert np.all(out.values == 2.5)
     assert np.all(out.gubinelli == 0.0)
+
+
+def test_compose_rejects_single_state_maps(h04):
+    # phi and phi_dx take the stack of states; a map that returns one state's value is
+    # an InputError naming the shapes, not a raw reshape error
+    rp = sampled_lift(h04, TimeGrid(1.0, 16, 0), 36)
+    state = ControlledPath(values=np.zeros((17, 1)), gubinelli=np.ones((17, 1, 1)), driver=rp)
+    with pytest.raises(InputError, match=r"returned \(1, 1\), \(1, 1, 1\) for 17 states"):
+        controlled_compose(lambda x: np.ones((1, 1)), lambda x: np.zeros((1, 1, 1)), state)
 
 
 def test_compose_chain_rule_reproduces_sigma_derivative(h04):
@@ -116,9 +127,7 @@ def test_compose_identity_embedding(h04):
     n1 = 17
     gub = np.arange(n1, dtype=float)[:, None, None]
     state = ControlledPath(values=np.linspace(0, 1, n1)[:, None], gubinelli=gub, driver=rp)
-    out = controlled_compose(
-        lambda x: x[:, None], lambda x: np.ones((1, 1, 1)), state
-    )
+    out = controlled_compose(lambda x: x[:, None], lambda x: np.ones((len(x), 1, 1, 1)), state)
     assert np.allclose(out.gubinelli[:, 0, 0, 0], gub[:, 0, 0])
 
 

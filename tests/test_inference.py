@@ -410,7 +410,6 @@ def test_mle_false_theta_linear_declaration_rejected():
         diffusion=LIN.diffusion,
         diffusion_dx=LIN.diffusion_dx,
         diffusion_dxx=LIN.diffusion_dxx,
-        vectorized=True,
         theta_linear=True,
     )
     ctx, _ = _linear_ctx(80, n=128)
@@ -452,13 +451,13 @@ def test_gamma_linear1d_positive_and_refinement_stable():
 
 def test_gamma_collinear_parameters_degenerate():
     # duplicated coordinates b = -(t1 + t2) x: identical rows, zero eigenvalue
-    from fracmle.model import ModelSpec, _zeros_theta_derivs
+    from fracmle.model import ModelSpec
 
     def drift(x, th):
         return -(th[0] + th[1]) * x
 
-    def dth1(x, th):
-        return np.array([[-x[0], -x[0]]])
+    def dth1(x, th):  # (n, 1) states -> (n, 1, 2)
+        return np.concatenate([-x, -x], axis=-1)[:, None, :]
 
     model = ModelSpec(
         name="collinear-test",
@@ -467,11 +466,11 @@ def test_gamma_collinear_parameters_degenerate():
         m=2,
         theta_domain=[[0.1, 5.0], [0.1, 5.0]],
         drift=drift,
-        drift_dx=lambda x, th: np.array([[-(th[0] + th[1])]]),
+        drift_dx=lambda x, th: np.full((len(x), 1, 1), -(th[0] + th[1])),
         drift_dtheta=(dth1,) + _zeros_theta_derivs(1, 2, 2),
-        diffusion=lambda x: np.array([[1.0]]),
-        diffusion_dx=lambda x: np.zeros((1, 1, 1)),
-        diffusion_dxx=lambda x: np.zeros((1, 1, 1, 1)),
+        diffusion=LIN.diffusion,
+        diffusion_dx=LIN.diffusion_dx,
+        diffusion_dxx=LIN.diffusion_dxx,
     )
     gm = gamma_matrix(model, [1.0, 1.0], H04, TimeGrid(1.0, 256, 0), [1.0])
     assert np.allclose(gm.matrix[0], gm.matrix[1])

@@ -23,6 +23,8 @@ from fracmle import (
 )
 from fracmle.mcstudy import summarize_epsilon, symmetric_sqrt
 
+from conftest import die_in_worker
+
 
 def _small_cfg(tmp_path=None, **kw):
     base = dict(
@@ -121,6 +123,17 @@ def test_study_pool_unavailable_runs_serially(tmp_path, monkeypatch):
     a = (tmp_path / "fallback" / "records.jsonl").read_bytes()
     b = (tmp_path / "serial" / "records.jsonl").read_bytes()
     assert a == b
+
+
+def test_study_dead_worker_is_resource_error(monkeypatch):
+    # a worker that dies breaks the pool: a typed ResourceError, not the serial
+    # fallback, which would run the blocks a second time
+    import fracmle.mcstudy as mc
+    from fracmle import ResourceError
+
+    monkeypatch.setattr(mc, "_run_block", die_in_worker)
+    with pytest.raises(ResourceError, match="a study worker process died"):
+        run_study(_small_cfg(n_replicates=4, n_jobs=2))
 
 
 def test_study_duplicate_epsilons_idempotent():
@@ -281,6 +294,7 @@ def _ensure_explosive_model():
     from fracmle.model import ModelSpec, _zeros_theta_derivs
 
     name = "explode-study-test"
+    lin = get_model("linear1d")
     try:
         get_model(name)
     except _IE:
@@ -292,12 +306,11 @@ def _ensure_explosive_model():
                 m=1,
                 theta_domain=[[0.1, 5.0]],
                 drift=lambda x, th: th[0] * x**3,
-                drift_dx=lambda x, th: np.array([[3 * th[0] * x[0] ** 2]]),
-                drift_dtheta=(lambda x, th: np.array([[x[0] ** 3]]),)
-                + _zeros_theta_derivs(1, 1, 2),
-                diffusion=lambda x: np.array([[1.0]]),
-                diffusion_dx=lambda x: np.zeros((1, 1, 1)),
-                diffusion_dxx=lambda x: np.zeros((1, 1, 1, 1)),
+                drift_dx=lambda x, th: (3 * th[0] * x**2)[:, :, None],
+                drift_dtheta=(lambda x, th: (x**3)[:, :, None],) + _zeros_theta_derivs(1, 1, 2),
+                diffusion=lin.diffusion,
+                diffusion_dx=lin.diffusion_dx,
+                diffusion_dxx=lin.diffusion_dxx,
             )
         )
     return name
@@ -489,9 +502,9 @@ def test_block_rows_fail_per_path(tmp_path, monkeypatch):
     assert _study_bytes(cfg) == whole
 
 
-def test_non_vectorized_model_runs_rows_one_at_a_time():
-    # the explosive model has only single-state callbacks: each row of a block is
-    # solved alone and fails as its single-path solve does
+def test_explosive_block_rows_fail_as_single_path_solves():
+    # every row of a block of the explosive model diverges, each as its single-path
+    # solve does
     import fracmle.mcstudy as mc
     from fracmle import DivergenceError, lift, sample_fbm, solve_rde
 

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.random import Generator, Philox, SeedSequence
 
 from fracmle import (
@@ -17,7 +19,13 @@ from fracmle import (
     probe_assumptions,
     register,
 )
-from fracmle.model import AssumptionReport, finite_difference_check, sigma_weighted, weighted_path
+from fracmle.model import (
+    AssumptionReport,
+    eval_path,
+    finite_difference_check,
+    sigma_weighted,
+    weighted_path,
+)
 
 
 def test_registry_builtins():
@@ -209,6 +217,65 @@ def test_parameter_box_must_be_m_finite_pairs(box):
             build()
 
 
+@pytest.mark.parametrize(
+    "box",
+    [[[0.1, 5.0], [0.1]], [0.1, 5.0], [["lo", "hi"]], 0.1],
+    ids=["ragged", "flat", "strings", "scalar"],
+)
+def test_parameter_box_must_be_2d_numeric(box):
+    # a box that is not a 2-D numeric array is an InputError where a model or a study
+    # config is built from it, not NumPy's ValueError or a TypeError from tuple()
+    from fracmle import StudyConfig
+
+    lin = get_model("linear1d")
+    for build in (
+        lambda: lin.with_domain(box),
+        lambda: dataclasses.replace(lin, theta_domain=box),
+        lambda: StudyConfig(
+            model="linear1d", theta0=(1.0,), x0=(1.0,), hurst=(0.4,), epsilons=(0.1,),
+            n_replicates=2, theta_domain=box,
+        ),
+    ):
+        with pytest.raises(InputError, match="is not a 2-D numeric array"):
+            build()
+
+
+def test_eval_path_names_both_shapes_of_a_misshapen_result():
+    # a callback whose result does not reshape to (n,) + base_shape is an InputError
+    lin = get_model("linear1d")
+    with pytest.raises(InputError, match=r"returned shape \(2,\), not \(3, 1\)"):
+        eval_path(lin, lambda x, th: np.zeros(2), np.zeros((3, 1)), (1,), np.array([1.0]))
+
+
+def _callbacks(model, theta):
+    """(callback, base shape, theta or None) for every callback of model."""
+    d, r, m = model.d, model.r, model.m
+    return (
+        [(model.drift, (d,), theta), (model.drift_dx, (d, d), theta)]
+        + [(cb, (d,) + (m,) * k, theta) for k, cb in enumerate(model.drift_dtheta, 1)]
+        + [(model.diffusion, (d, r), None), (model.diffusion_dx, (d, r, d), None)]
+        + [(model.diffusion_dxx, (d, r, d, d), None)]
+    )
+
+
+@pytest.mark.parametrize("name", ["linear1d", "cross2d", "const1d", "zero1d", "geom1d"])
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_stacked_callbacks_equal_row_by_row(name, data):
+    # on a stack of states each callback returns, bit for bit, what it returns on each
+    # row as a (1, d) stack: so a batched solve row equals its single-path solve
+    model = get_model(name)
+    n = data.draw(st.integers(1, 12))
+    coords = st.lists(st.floats(-3.0, 3.0), min_size=n * model.d, max_size=n * model.d)
+    states = np.array(data.draw(coords))
+    states = states.reshape(n, model.d)
+    theta = np.array([data.draw(st.floats(lo, hi)) for lo, hi in model.theta_domain])
+    for fn, shape, th in _callbacks(model, theta):
+        whole = eval_path(model, fn, states, shape, th)
+        rows = np.concatenate([eval_path(model, fn, states[i : i + 1], shape, th) for i in range(n)])
+        assert whole.tobytes() == rows.tobytes()
+
+
 def _probe_reference(model, probe, seed):
     """The assumption probe as a loop of single-state callback calls."""
     rng = Generator(Philox(SeedSequence(entropy=(int(seed), 0xA55E))))
@@ -260,7 +327,7 @@ def _probe_reference(model, probe, seed):
     )
 
 
-_PROBE_MODELS = ["linear1d", "cross2d", "const1d", "zero1d", "geom1d", "cross2d-loop"]
+_PROBE_MODELS = ["linear1d", "cross2d", "const1d", "zero1d", "geom1d"]
 _PROBES = [
     ProbeConfig(),
     ProbeConfig(lo=-1.0, hi=2.0, n_points=50, n_pairs=60, n_theta=5, growth_exponent=2.0, ac_exponent=0.5),
@@ -272,10 +339,7 @@ _PROBES = [
 def test_probe_matches_single_state_reference(name, probe):
     # stacked calls read the same callback values; only the weighted-drift
     # norm may round differently
-    if name == "cross2d-loop":
-        model = dataclasses.replace(get_model("cross2d"), vectorized=False)
-    else:
-        model = get_model(name)
+    model = get_model(name)
     got = probe_assumptions(model, probe, seed=3)
     ref = _probe_reference(model, probe, seed=3)
     assert got.ac_growth_estimate == pytest.approx(ref.ac_growth_estimate, rel=1e-14, abs=0.0)

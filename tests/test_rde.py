@@ -17,8 +17,7 @@ from fracmle import (
     solve_rde,
     sup_distance,
 )
-from fracmle.model import ModelSpec
-from fracmle.model import _zeros_theta_derivs
+from fracmle.model import _UNIT_NOISE, ModelSpec, _zeros_theta_derivs
 from fracmle.rde import BLOWUP_GUARD, solve_rde_batch
 
 from conftest import edge_cubic_model, sampled_lift
@@ -159,11 +158,9 @@ def test_blowup_guard_carries_step(h04):
         m=1,
         theta_domain=[[0.1, 5.0]],
         drift=drift,
-        drift_dx=lambda x, th: np.array([[3 * th[0] * x[0] ** 2]]),
-        drift_dtheta=(lambda x, th: np.array([[x[0] ** 3]]),) + _zeros_theta_derivs(1, 1, 2),
-        diffusion=lambda x: np.array([[1.0]]),
-        diffusion_dx=lambda x: np.zeros((1, 1, 1)),
-        diffusion_dxx=lambda x: np.zeros((1, 1, 1, 1)),
+        drift_dx=lambda x, th: (3 * th[0] * x**2)[:, :, None],
+        drift_dtheta=(lambda x, th: (x**3)[:, :, None],) + _zeros_theta_derivs(1, 1, 2),
+        **_UNIT_NOISE,
     )
     grid = TimeGrid(1.0, 64, 0)
     rp = sampled_lift(h04, grid, 58)
@@ -180,11 +177,9 @@ def _runaway_model(drift):
         m=1,
         theta_domain=[[0.1, 100.0]],
         drift=drift,
-        drift_dx=lambda x, th: np.zeros((1, 1)),
+        drift_dx=lambda x, th: np.zeros((len(x), 1, 1)),
         drift_dtheta=_zeros_theta_derivs(1, 1, 1),
-        diffusion=lambda x: np.array([[1.0]]),
-        diffusion_dx=lambda x: np.zeros((1, 1, 1)),
-        diffusion_dxx=lambda x: np.zeros((1, 1, 1, 1)),
+        **_UNIT_NOISE,
     )
 
 
@@ -277,9 +272,8 @@ def _solve_or_error(model, theta, epsilon, rp, x0):
         (get_model("linear1d"), (0.4,), 0, [1.0], [1.0], [0.1, 0.0, 0.03]),
         (get_model("cross2d"), (0.4, 0.45), 2, [1.0, 2.0], [1.0, 1.0], [0.1, 0.05]),
         (edge_cubic_model(), (0.4,), 1, [5.0], [1.0], [0.05, 0.1, 0.3]),
-        (replace(edge_cubic_model(), vectorized=False), (0.4,), 1, [5.0], [1.0], [0.05, 0.3]),
     ],
-    ids=["linear1d", "cross2d", "edge-cubic", "edge-cubic-per-row"],
+    ids=["linear1d", "cross2d", "edge-cubic"],
 )
 def test_batch_rows_match_single_path_solves(model, hurst, refine, theta, x0, epsilons):
     # every row of one batched march is its single-path solve: the same states bit for
@@ -311,6 +305,21 @@ def test_batch_rows_match_single_path_solves(model, hurst, refine, theta, x0, ep
         # the block mixes rows that diverge at different steps with rows that survive
         steps = {o.step for o in out if isinstance(o, DivergenceError)}
         assert len(steps) >= 2 and any(isinstance(o, Trajectory) for o in out)
+
+
+def test_batch_rejects_a_drift_that_ignores_the_stack(h04):
+    # a drift that returns one state's value for an (R, d) stack is an InputError, not
+    # that value broadcast over every row
+    lin = get_model("linear1d")
+    model = replace(lin, name="row-zero-test", drift=lambda x, th: -th[0] * x[0])
+    grid = TimeGrid(1.0, 16, 0)
+    rp = sampled_lift(h04, grid, 64)
+    inc, areas = (np.repeat(a[None], 3, axis=0) for a in (rp.coarse_increments, rp.coarse_areas))
+    with pytest.raises(InputError, match=r"returned shape \(1,\), not \(3, 1\)"):
+        solve_rde_batch(model, [1.0], [0.1, 0.2, 0.3], inc, areas, [1.0], grid)
+    # one row is the stack with R = 1, where row 0 is the whole stack
+    one = solve_rde(model, [1.0], 0.1, rp, [1.0])
+    assert np.array_equal(one.states, solve_rde(lin, [1.0], 0.1, rp, [1.0]).states)
 
 
 def test_batch_rejects_mismatched_driver_stack(h04):
