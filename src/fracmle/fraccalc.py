@@ -5,7 +5,9 @@ The weakly singular kernel (t-u)^(alpha-1) is integrated exactly against
 piecewise-linear data (product integration), so the left/right integral
 rules are exact for constant and linear integrands. On a uniform grid the
 weights depend only on k-l, which lets the transform run as a discrete
-convolution instead of a dense weight matrix.
+convolution instead of a dense weight matrix. rl_integral_left,
+rl_integral_right and q_transform act along the last axis: a (c, N+1)
+stack is c independent rows, each bit-identical to its own 1-D call.
 
 The observation-to-Wiener transform W_k = sum_{l<k} kappa(t_k, m_l) dY_l
 (Norros, Valkeila & Virtamo, Bernoulli 1999) never forms kappa either.
@@ -94,8 +96,8 @@ def _pi_kernels(alpha: float, n: int, dt: float):
 
 
 def _conv(f: np.ndarray, kernel: np.ndarray, out_len: int) -> np.ndarray:
-    size = sp_fft.next_fast_len(len(f) + len(kernel) - 1, real=True)
-    return sp_fft.irfft(sp_fft.rfft(f, size) * sp_fft.rfft(kernel, size), size)[:out_len]
+    size = sp_fft.next_fast_len(f.shape[-1] + len(kernel) - 1, real=True)
+    return sp_fft.irfft(sp_fft.rfft(f, size) * sp_fft.rfft(kernel, size), size)[..., :out_len]
 
 
 def _lower_triangular_kernel(hurst: float, dt: float, rows: int) -> np.ndarray:
@@ -215,24 +217,25 @@ def get_plan(hurst: float, T: float, n_coarse: int) -> FracKernelPlan:
 
 
 def rl_integral_left(plan: FracKernelPlan, f: np.ndarray) -> np.ndarray:
-    """I^a_{0+} f at every grid node; exact for piecewise-linear f; 0 at t_0."""
+    """I^a_{0+} f at every grid node, along the last axis of f (a (c, N+1)
+    stack is c rows); exact for piecewise-linear f; 0 at t_0."""
     f = np.asarray(f, dtype=float)
     n = plan.grid.n_coarse
-    if f.shape[0] != n + 1:
-        raise InputError(f"expected {n + 1} samples, got {f.shape[0]}")
+    if f.shape[-1] != n + 1:
+        raise InputError(f"expected {n + 1} samples, got {f.shape[-1]}")
     if not np.all(np.isfinite(f)):
         raise InputError("non-finite samples in fractional integral input")
     if plan.alpha == 0.0:
         return f.copy()
     A, C = plan.weights_left
-    out = _conv(f, A, n + 1) + _conv(f[1:], C, n + 1)
-    out[0] = 0.0
+    out = _conv(f, A, n + 1) + _conv(f[..., 1:], C, n + 1)
+    out[..., 0] = 0.0
     return out
 
 
 def rl_integral_right(plan: FracKernelPlan, f: np.ndarray) -> np.ndarray:
     """I^a_{T-} f at every grid node (right endpoint = horizon); 0 at t_N."""
-    return rl_integral_left(plan, np.asarray(f, dtype=float)[::-1])[::-1]
+    return rl_integral_left(plan, np.asarray(f, dtype=float)[..., ::-1])[..., ::-1]
 
 
 def kh_inverse_transform(plan: FracKernelPlan, y: np.ndarray) -> np.ndarray:
@@ -270,12 +273,13 @@ def q_transform(plan: FracKernelPlan, g: np.ndarray, scale: float = 1.0) -> np.n
     """scale * t^(H-1/2) * I^a_{0+}[ s^a g(s) ](t) at the grid nodes, 0 at t_0.
 
     This is the shared shape of the likelihood field and its parameter
-    derivatives; scale carries the (eps d_H)^-1 prefactor.
+    derivatives; scale carries the (eps d_H)^-1 prefactor. Like
+    rl_integral_left it acts along the last axis of g.
     """
     g = np.asarray(g, dtype=float)
     nodes = plan.grid.coarse_nodes()
     inner = rl_integral_left(plan, nodes**plan.alpha * g)
     out = np.empty_like(inner)
-    out[0] = 0.0
-    out[1:] = scale * nodes[1:] ** (-plan.alpha) * inner[1:]
+    out[..., 0] = 0.0
+    out[..., 1:] = scale * nodes[1:] ** (-plan.alpha) * inner[..., 1:]
     return out

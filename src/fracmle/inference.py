@@ -164,46 +164,34 @@ def compute_Q(
     """Q^i(t) = (eps d_H)^-1 t^(H-1/2) I^a_{0+}[ s^a (F b(., theta))^i ](t)
     plus theta-derivative fields (b replaced by its theta-gradients).
 
-    The deterministic variant evaluates on the ODE path with eps = 1.
+    b and its first `order` (0..2) theta-derivatives form one (N+1, d, c) stack; each
+    driver component's nonzero columns take one q_transform call as a (c', N+1) stack,
+    and zero columns stay zero. The deterministic variant runs on the ODE path, eps = 1.
     """
+    if not (isinstance(order, (int, np.integer)) and 0 <= order <= 2):
+        raise InputError(f"derivative order must be 0, 1 or 2, got {order!r}")
     theta = model.check_theta(theta)
-    n1 = states.shape[0]
+    n1, d, m, r = states.shape[0], model.d, model.m, model.r
     if f_path is None:
         f_path, _ = weighted_path(model, states)
-    b = eval_path(model, model.drift, states, (model.d,), theta)
-    g = np.einsum("kia,ka->ki", f_path, b)
-    dg = d2g = None
-    if order >= 1:
-        db = eval_path(model, model.drift_dtheta[0], states, (model.d, model.m), theta)
-        dg = np.einsum("kia,kaj->kij", f_path, db)
-    if order >= 2:
-        d2b = eval_path(model, model.drift_dtheta[1], states, (model.d, model.m, model.m), theta)
-        if model.theta_linear and np.any(d2b):
-            raise InputError(
-                f"model {model.name!r} declares theta_linear, but its second "
-                "theta-derivative of the drift is nonzero on the path"
-            )
-        d2g = np.einsum("kia,kajl->kijl", f_path, d2b)
-
-    def transform(arr):
-        out = np.zeros_like(arr)
-        flat = arr.reshape(n1, model.r, -1)
-        res = out.reshape(n1, model.r, -1)
-        for i in range(model.r):
+    cols = [
+        eval_path(model, fn, states, (d,) + (m,) * k, theta).reshape(n1, d, -1)
+        for k, fn in enumerate((model.drift,) + model.drift_dtheta[:order])
+    ]
+    if order == 2 and model.theta_linear and np.any(cols[2]):
+        raise InputError(
+            f"model {model.name!r} declares theta_linear, but its second "
+            "theta-derivative of the drift is nonzero on the path"
+        )
+    fb = np.einsum("kia,kac->kic", f_path, np.concatenate(cols, axis=2))
+    q = np.zeros_like(fb)
+    for i in range(r):
+        live = np.flatnonzero(fb[:, i].any(axis=0))
+        if live.size:
             scale = 1.0 / (epsilon * fraccalc.d_H(hurst.h[i]))
-            for c in range(flat.shape[2]):
-                # the transform is linear, so an exactly zero column (a
-                # theta-linear drift's second derivative, an uncoupled
-                # component) maps to zero and is skipped
-                if flat[:, i, c].any():
-                    res[:, i, c] = fraccalc.q_transform(plans[i], flat[:, i, c], scale)
-        return out
-
-    return QField(
-        values=transform(g),
-        dtheta=transform(dg) if order >= 1 else None,
-        dtheta2=transform(d2g) if order >= 2 else None,
-    )
+            q[:, i, live] = fraccalc.q_transform(plans[i], fb[:, i, live].T, scale).T
+    parts = np.split(q, [1, 1 + m], axis=2)[: order + 1]  # values, dtheta, dtheta2
+    return QField(*(np.ascontiguousarray(p.reshape((n1, r) + (m,) * k)) for k, p in enumerate(parts)))
 
 
 def _trapezoid_weights(grid: TimeGrid) -> np.ndarray:
@@ -376,6 +364,8 @@ def gamma_matrix(
 ) -> GammaMatrix:
     """Asymptotic information matrix: Gamma_jk = sum_i int (dQ_j)^i (dQ_k)^i dt
     with the deterministic Q field evaluated on the ODE limit path."""
+    if not (isinstance(refine, (int, np.integer)) and refine >= 1):
+        raise InputError(f"refine must be a positive integer, got {refine!r}")
     theta0 = model.check_theta(theta0)
     fine_grid = TimeGrid(grid.T, grid.n_coarse * int(refine), 0)
     plans = _model_plans(model, hurst, fine_grid)

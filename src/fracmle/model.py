@@ -78,6 +78,15 @@ class ModelSpec:
             )
         return theta
 
+    def check_state(self, x, what: str = "state") -> np.ndarray:
+        """x as a finite (d,) float array; InputError naming `what` otherwise."""
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        if x.shape != (self.d,):
+            raise InputError(f"{what} has shape {x.shape}, model expects ({self.d},)")
+        if not np.all(np.isfinite(x)):
+            raise InputError(f"non-finite {what} {x.tolist()}")
+        return x
+
     def clamp_theta(self, theta) -> np.ndarray:
         return np.clip(theta, self.theta_domain[:, 0], self.theta_domain[:, 1])
 
@@ -98,22 +107,17 @@ def numeric_box(box) -> np.ndarray:
 
 
 def eval_drift(model: ModelSpec, x, theta) -> np.ndarray:
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if not np.all(np.isfinite(x)):
-        raise InputError("non-finite state")
+    x = model.check_state(x)
     return eval_path(model, model.drift, x[None], (model.d,), model.check_theta(theta))[0]
 
 
 def eval_diffusion(model: ModelSpec, x) -> np.ndarray:
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if not np.all(np.isfinite(x)):
-        raise InputError("non-finite state")
-    return eval_path(model, model.diffusion, x[None], (model.d, model.r))[0]
+    return eval_path(model, model.diffusion, model.check_state(x)[None], (model.d, model.r))[0]
 
 
 def eval_A_inverse(model: ModelSpec, x) -> np.ndarray:
     """Inverse of A(x) = sigma sigma*; raises when det A is at or below the floor."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x = model.check_state(x)
     sig = eval_diffusion(model, x)
     return _checked_inverse((sig @ sig.T)[None], x[None])[0]
 
@@ -148,7 +152,7 @@ def eval_path(model: ModelSpec, fn, states: np.ndarray, base_shape: tuple, theta
 
 def sigma_weighted(model: ModelSpec, x):
     """F(x) = sigma* A^-1 and its state Jacobian dF[i, c, c'] = dF_ic/dx_c'."""
-    f, df = weighted_path(model, np.asarray(x, dtype=float).reshape(1, model.d))
+    f, df = weighted_path(model, model.check_state(x)[None])
     return f[0], df[0]
 
 

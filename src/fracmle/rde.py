@@ -44,15 +44,6 @@ class Trajectory:
         return self.states.shape[1]
 
 
-def _checked_x0(model: ModelSpec, x0) -> np.ndarray:
-    x = np.atleast_1d(np.asarray(x0, dtype=float))
-    if x.shape != (model.d,):
-        raise InputError(f"x0 has shape {x.shape}, model expects ({model.d},)")
-    if not np.all(np.isfinite(x)):
-        raise InputError(f"non-finite x0 {x.tolist()}")
-    return x
-
-
 def _march(steps, x0: np.ndarray, n_steps: int, what: str):
     """Read-only states (n_steps + 1, R, d) of x_{k+1} = step(k, x_k) for R paths, x0
     (R, d), each path contiguous; step = steps(live) steps the (len(live), d) stack of
@@ -110,7 +101,7 @@ def solve_rde_batch(
             f"{n_rows} drivers with {r} components on {n} coarse steps do not fit "
             f"increments {inc.shape} and areas {areas.shape}"
         )
-    x0 = _checked_x0(model, x0)
+    x0 = model.check_state(x0, what="x0")
 
     def davie(e, dB, A):
         """The step for noise levels e and per-step increments dB[k], areas A[k]."""
@@ -167,7 +158,7 @@ def solve_ode(model: ModelSpec, theta0, x0, grid: TimeGrid) -> Trajectory:
         k4 = f(x + dt * k3)
         return x + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
 
-    x0 = _checked_x0(model, x0)[None]
+    x0 = model.check_state(x0, what="x0")[None]
     states, (err,) = _march(lambda _: rk4, x0, grid.n_coarse, "ODE flow")
     if err is not None:
         raise err

@@ -3,6 +3,8 @@ import dataclasses
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import gamma as G
 
 from fracmle import (
@@ -283,3 +285,29 @@ def test_short_grids_match_direct_convolution(n):
         ref = np.zeros(n + 1)
         ref[1:] = 0.7 * nodes[1:] ** (-plan.alpha) * _rl_direct(plan, nodes**plan.alpha * g)[1:]
         assert np.max(np.abs(q_transform(plan, g, 0.7) - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_stacked_rows_match_1d_calls(data):
+    # a (c, n+1) stack is c independent rows, each bit-identical to its 1-D call;
+    # the plan is a plain fractional order or a Hurst plan (H = 1/2: identity)
+    n = data.draw(st.integers(2, 600), label="n")
+    grid = TimeGrid(1.0, n, 0)
+    if data.draw(st.booleans(), label="hurst plan"):
+        hurst = data.draw(st.sampled_from((0.34, 0.4, 0.45, 0.49, 0.5)), label="H")
+        plan = FracKernelPlan.build(hurst, grid)
+    else:
+        plan = FracKernelPlan.for_order(data.draw(st.floats(0.01, 0.99), label="alpha"), grid)
+    c = data.draw(st.integers(1, 5), label="rows")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
+    stack = rng.standard_normal((c, n + 1))
+    zero = data.draw(st.lists(st.booleans(), min_size=c, max_size=c), label="zero rows")
+    stack[np.array(zero)] = 0.0
+    if data.draw(st.booleans(), label="column-major"):
+        stack = np.asfortranarray(stack)  # as a transposed (n+1, c) block arrives
+    for fn in (rl_integral_left, rl_integral_right, lambda p, f: q_transform(p, f, 0.7)):
+        out = fn(plan, stack)
+        assert out.shape == stack.shape
+        for row, f in zip(out, stack):
+            assert np.array_equal(row, fn(plan, f))

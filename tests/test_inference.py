@@ -192,6 +192,127 @@ def test_Q_ellipticity_propagates():
         compute_Q(states, model, [1.0], 1.0, H04, plans_for(H04, grid))
 
 
+def _compute_Q_per_column(states, model, theta, epsilon, hurst, plans, order, f_path):
+    """compute_Q as one q_transform call per (component, column): the oracle of
+    the stacked field."""
+    from fracmle import fraccalc
+    from fracmle.model import eval_path
+
+    n1 = states.shape[0]
+    b = eval_path(model, model.drift, states, (model.d,), theta)
+    g = np.einsum("kia,ka->ki", f_path, b)
+    dg = d2g = None
+    if order >= 1:
+        db = eval_path(model, model.drift_dtheta[0], states, (model.d, model.m), theta)
+        dg = np.einsum("kia,kaj->kij", f_path, db)
+    if order >= 2:
+        d2b = eval_path(model, model.drift_dtheta[1], states, (model.d, model.m, model.m), theta)
+        d2g = np.einsum("kia,kajl->kijl", f_path, d2b)
+
+    def transform(arr):
+        out = np.zeros_like(arr)
+        flat = arr.reshape(n1, model.r, -1)
+        res = out.reshape(n1, model.r, -1)
+        for i in range(model.r):
+            scale = 1.0 / (epsilon * fraccalc.d_H(hurst.h[i]))
+            for c in range(flat.shape[2]):
+                if flat[:, i, c].any():
+                    res[:, i, c] = fraccalc.q_transform(plans[i], flat[:, i, c], scale)
+        return out
+
+    return (transform(g), transform(dg) if order >= 1 else None, transform(d2g) if order >= 2 else None)
+
+
+def _squared_rate_model(theta_linear=False):
+    """b = -theta^2 x: not affine in theta, so its second theta-derivative -2x is nonzero."""
+
+    def dth1(x, th):
+        return -2.0 * th[0] * np.asarray(x, dtype=float)[..., :, None]
+
+    def dth2(x, th):
+        return -2.0 * np.asarray(x, dtype=float)[..., :, None, None]
+
+    return ModelSpec(
+        name="squared-rate",
+        d=1,
+        r=1,
+        m=1,
+        theta_domain=[[0.1, 3.0]],
+        drift=lambda x, th: -th[0] ** 2 * np.asarray(x, dtype=float),
+        drift_dx=lambda x, th: np.full(np.shape(x) + (1,), -th[0] ** 2),
+        drift_dtheta=(dth1, dth2) + _zeros_theta_derivs(1, 1, 3),
+        diffusion=LIN.diffusion,
+        diffusion_dx=LIN.diffusion_dx,
+        diffusion_dxx=LIN.diffusion_dxx,
+        theta_linear=theta_linear,
+    )
+
+
+# model, hurst, theta0, x0, evaluation theta, n_coarse, refine_level
+_Q_CASES = {
+    "linear1d": (LIN, H04, (1.0,), (1.0,), (1.3,), 256, 0),
+    "const1d": (get_model("const1d"), H04, (0.7,), (0.0,), (0.4,), 256, 0),
+    "zero1d": (get_model("zero1d"), H04, (1.0,), (0.5,), (1.0,), 128, 0),
+    "cross2d": (get_model("cross2d"), HurstVector((0.4, 0.45)), (1.0, 2.0), (1.0, 1.0), (1.2, 1.7), 128, 2),
+    "squared-rate": (_squared_rate_model(), H04, (1.0,), (1.0,), (0.8,), 256, 0),
+}
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize("name", sorted(_Q_CASES))
+def test_stacked_Q_matches_per_column_loop(name, order):
+    model, hv, th0, x0, theta, n, level = _Q_CASES[name]
+    grid = TimeGrid(1.0, n, level)
+    traj = solve_rde(model, th0, 0.1, sampled_lift(hv, grid, 83), x0)
+    ctx = build_context(traj, model, hv)
+    theta = np.asarray(theta)
+    q = compute_Q(traj.states, model, theta, 0.1, hv, ctx.plans, order=order, f_path=ctx.f_path)
+    oracle = _compute_Q_per_column(traj.states, model, theta, 0.1, hv, ctx.plans, order, ctx.f_path)
+    for got, want in zip((q.values, q.dtheta, q.dtheta2), oracle):
+        if want is None:
+            assert got is None
+        else:
+            assert got.flags["C_CONTIGUOUS"]
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("name, calls", [("linear1d", 1), ("cross2d", 2)])
+def test_Q_one_transform_per_driver_component(name, calls, monkeypatch):
+    from fracmle import fraccalc
+
+    model, hv, th0, x0, theta, n, level = _Q_CASES[name]
+    grid = TimeGrid(1.0, n, level)
+    ctx = build_context(solve_rde(model, th0, 0.1, sampled_lift(hv, grid, 84), x0), model, hv)
+    real, seen = fraccalc.q_transform, []
+
+    def counted(*args):
+        seen.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(fraccalc, "q_transform", counted)
+    likelihood_parts(ctx, theta, order=2)
+    assert len(seen) == calls
+
+
+def test_false_theta_linear_rejected_before_any_transform(monkeypatch):
+    from fracmle import fraccalc
+
+    ctx, _ = _linear_ctx(85, n=128)
+    seen = []
+    monkeypatch.setattr(fraccalc, "q_transform", lambda *args: seen.append(args))
+    with pytest.raises(InputError, match="theta_linear"):
+        likelihood_parts(dataclasses.replace(ctx, model=_squared_rate_model(theta_linear=True)), [1.0])
+    assert seen == []
+
+
+@pytest.mark.parametrize("order", [-1, 1.5, 3, None, "2"])
+def test_derivative_order_outside_0_to_2_is_input_error(order):
+    ctx, _ = _linear_ctx(86, n=64)
+    with pytest.raises(InputError, match="derivative order"):
+        likelihood_parts(ctx, [1.0], order=order)
+
+
 # ---------------------------------------------------------------- likelihood
 
 
@@ -476,6 +597,18 @@ def test_gamma_collinear_parameters_degenerate():
     assert np.allclose(gm.matrix[0], gm.matrix[1])
     assert abs(gm.min_eigenvalue) <= 1e-12
     assert not gm.a5_ok
+
+
+@pytest.mark.parametrize("refine", [0, -2, 2.5, 2.0, None])
+def test_gamma_refine_must_be_positive_integer(refine):
+    with pytest.raises(InputError, match="refine"):
+        gamma_matrix(LIN, TH0, H04, TimeGrid(1.0, 64, 0), X0, refine=refine)
+
+
+def test_gamma_refine_accepts_numpy_integer():
+    grid = TimeGrid(1.0, 64, 0)
+    got = gamma_matrix(LIN, TH0, H04, grid, X0, refine=np.int64(2))
+    assert np.array_equal(got.matrix, gamma_matrix(LIN, TH0, H04, grid, X0, refine=2).matrix)
 
 
 def test_gamma_symmetric():

@@ -357,6 +357,17 @@ def test_unsolvable_limit_ends_inline_study_before_any_replicate(monkeypatch):
     assert seeds == []
 
 
+@pytest.mark.parametrize("refine", [2.5, 0])
+def test_bad_gamma_refine_ends_inline_study_before_any_replicate(refine, monkeypatch):
+    import fracmle.mcstudy as mc
+
+    seeds = []
+    monkeypatch.setattr(mc, "sample_fbm", lambda hurst, grid, seed: seeds.append(seed))
+    with pytest.raises(InputError, match="refine must be a positive integer"):
+        run_study(_small_cfg(gamma_refine=refine))
+    assert seeds == []
+
+
 def test_pool_cancels_pending_blocks_when_gamma_fails(monkeypatch):
     # on a pool, Gamma runs while the blocks are queued; when it fails, the blocks not
     # yet started are cancelled instead of run to completion by the pool's shutdown

@@ -64,6 +64,38 @@ def test_eval_drift_domain_error():
         eval_drift(model, [np.nan], [1.0])
 
 
+def test_check_state_shape_and_finiteness():
+    model = get_model("cross2d")
+    assert np.array_equal(model.check_state([1.0, 2.0]), [1.0, 2.0])
+    with pytest.raises(InputError, match=r"x0 has shape \(3,\), model expects \(2,\)"):
+        model.check_state([1.0, 2.0, 3.0], what="x0")
+    with pytest.raises(InputError, match="non-finite x0"):
+        model.check_state([np.inf, 1.0], what="x0")
+    assert get_model("linear1d").check_state(0.7).shape == (1,)
+
+
+@pytest.mark.parametrize(
+    "helper",
+    [
+        lambda m, x: eval_drift(m, x, [1.0, 2.0]),
+        eval_diffusion,
+        eval_A_inverse,
+        sigma_weighted,
+    ],
+    ids=["eval_drift", "eval_diffusion", "eval_A_inverse", "sigma_weighted"],
+)
+@pytest.mark.parametrize("x", [[1.0], [1.0, 2.0, 3.0], [[1.0, 2.0]]])
+def test_single_state_helpers_check_the_state_shape(helper, x):
+    # cross2d has d = 2: a state of another shape is an InputError
+    with pytest.raises(InputError, match=r"state has shape .*, model expects \(2,\)"):
+        helper(get_model("cross2d"), x)
+
+
+def test_sigma_weighted_rejects_non_finite_state():
+    with pytest.raises(InputError, match="non-finite state"):
+        sigma_weighted(get_model("cross2d"), [np.nan, 1.0])
+
+
 def test_theta_closure_boundary_allowed():
     model = get_model("linear1d")
     eval_drift(model, [1.0], [0.1])
