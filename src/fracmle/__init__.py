@@ -19,11 +19,8 @@ from .fbm import (
     HurstVector,
     RoughPath,
     TimeGrid,
-    area_holder_seminorm,
     chen_defect,
-    holder_seminorm,
     lift,
-    roughpath_seminorm,
     sample_fbm,
 )
 from .fraccalc import (
@@ -48,20 +45,11 @@ from .model import (
     probe_assumptions,
     register,
 )
-from .controlled import (
-    ControlledPath,
-    controlled_compose,
-    remainder_exponent_fit,
-    remainder_seminorm,
-    rough_integral,
-)
 from .rde import (
     Trajectory,
-    sigma_controlled,
     solve_ode,
     solve_rde,
     sup_distance,
-    trajectory_as_controlled,
 )
 from .inference import (
     EstimateRecord,

@@ -35,7 +35,8 @@ class DivergenceError(FracmleError, RuntimeError):
 
 
 class OptimizationError(FracmleError, RuntimeError):
-    """No optimizer start converged; carries per-start diagnostics."""
+    """No optimizer start converged; carries per-start diagnostics (start, final theta,
+    ll, projected-gradient norm grad_norm, converged, iters)."""
 
     def __init__(self, message, diagnostics=None):
         super().__init__(message)

@@ -25,9 +25,6 @@ from .errors import InputError, ResourceError
 log = logging.getLogger(__name__)
 
 MAX_FINE_STEPS = 1 << 24
-# all-pairs Hoelder seminorms are O(N^2); beyond this many nodes only
-# dyadic gaps are scanned
-ALL_PAIRS_LIMIT = 4096
 
 HURST_LOW = 1.0 / 3.0
 HURST_HIGH = 0.5
@@ -114,19 +111,14 @@ class TimeGrid:
     def fine_nodes(self) -> np.ndarray:
         return np.linspace(0.0, self.T, self.n_fine + 1)
 
-    def _node_index(self, t: float, n: int, level: str) -> int:
-        """Map a time to its node index on the grid of n steps; off-grid times are errors."""
+    def fine_index(self, t: float) -> int:
+        """Map a time to its fine-node index; off-grid times are errors."""
+        n = self.n_fine
         k = t / self.T * n
         ki = int(round(k))
         if ki < 0 or ki > n or abs(k - ki) > 1e-8 * n:
-            raise InputError(f"time {t} is not a {level}-grid node")
+            raise InputError(f"time {t} is not a fine-grid node")
         return ki
-
-    def fine_index(self, t: float) -> int:
-        return self._node_index(t, self.n_fine, "fine")
-
-    def coarse_index(self, t: float) -> int:
-        return self._node_index(t, self.n_coarse, "coarse")
 
 
 @dataclass(frozen=True)
@@ -306,68 +298,6 @@ def chen_defect(rp: RoughPath, s: float, u: float, t: float) -> np.ndarray:
         - rp.area(j, k)
         - np.outer(rp.increment(i, j), rp.increment(j, k))
     )
-
-
-def _gap_list(n: int, limit: int = ALL_PAIRS_LIMIT) -> np.ndarray:
-    """Node gaps to scan: all of 1..n up to limit, else the powers of two and n."""
-    if n <= limit:
-        return np.arange(1, n + 1)
-    gaps = []
-    g = 1
-    while g <= n:
-        gaps.append(g)
-        g *= 2
-    if gaps[-1] != n:
-        gaps.append(n)
-    return np.array(gaps)
-
-
-def holder_seminorm(times: np.ndarray, values: np.ndarray, alpha: float) -> float:
-    """sup over node pairs of |Y_t - Y_s| / |t-s|^alpha.
-
-    All pairs are scanned up to ALL_PAIRS_LIMIT nodes, dyadic gaps beyond
-    that (value then lower-bounds the all-pairs sup).
-    """
-    if not 0 < alpha <= 1:
-        raise InputError(f"alpha must lie in (0, 1], got {alpha}")
-    times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if values.ndim == 1:
-        values = values[:, None]
-    n = len(times) - 1
-    best = 0.0
-    for gap in _gap_list(n):
-        num = np.linalg.norm(values[gap:] - values[:-gap], axis=-1)
-        den = (times[gap:] - times[:-gap]) ** alpha
-        best = max(best, float(np.max(num / den)))
-    return best
-
-
-def area_holder_seminorm(rp: RoughPath, two_alpha: float) -> float:
-    """sup over coarse-node pairs of |Area_{s,t}|_F / |t-s|^(2 alpha)."""
-    if not 0 < two_alpha <= 2:
-        raise InputError(f"two_alpha must lie in (0, 2], got {two_alpha}")
-    nc, r = rp.grid.n_coarse, rp.r
-    nodes = rp.grid.coarse_nodes()
-    cb = rp.coarse_values()
-    cdb = rp.coarse_increments
-    starts = range(nc) if nc <= ALL_PAIRS_LIMIT else range(0, nc, max(1, nc // ALL_PAIRS_LIMIT))
-    best = 0.0
-    for s in starts:
-        rel = cb[s:nc] - cb[s]
-        contrib = rp.coarse_areas[s:] + rel[:, :, None] * cdb[s:, None, :]
-        cum = np.cumsum(contrib, axis=0)
-        norms = np.sqrt((cum**2).sum(axis=(1, 2)))
-        dts = nodes[s + 1 :] - nodes[s]
-        best = max(best, float(np.max(norms / dts**two_alpha)))
-    return best
-
-
-def roughpath_seminorm(rp: RoughPath, alpha: float) -> float:
-    """Combined first/second-level seminorm |B|_alpha + |Area|_2alpha^(1/2) on coarse nodes."""
-    b = holder_seminorm(rp.grid.coarse_nodes(), rp.coarse_values(), alpha)
-    a = area_holder_seminorm(rp, 2 * alpha)
-    return b + math.sqrt(a)
 
 
 def dump_driver_csv(rp: RoughPath, path_file, area_file=None) -> None:

@@ -318,7 +318,7 @@ def mle(
             improved = False
             for _ in range(optimizer.max_backtracks):
                 cand = model.clamp_theta(theta + step * direction)
-                if np.allclose(cand, theta):
+                if np.array_equal(cand, theta):
                     break
                 ll_new = parts(cand, 0)[0]
                 if ll_new > ll:
@@ -331,7 +331,16 @@ def mle(
                 # no ascent available inside the box: stationary point
                 converged = bool(np.linalg.norm(gp) <= math.sqrt(optimizer.grad_tol))
                 break
-        diagnostics.append({"start": start.tolist(), "ll": ll, "converged": converged, "iters": iters})
+        diagnostics.append(
+            {
+                "start": start.tolist(),
+                "theta": theta.tolist(),
+                "ll": ll,
+                "grad_norm": float(np.linalg.norm(_projected_gradient(model, theta, grad))),
+                "converged": converged,
+                "iters": iters,
+            }
+        )
         if converged and (best is None or ll > best[0]):
             best = (ll, theta.copy(), iters)
     if best is None:

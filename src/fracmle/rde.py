@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .controlled import ControlledPath, controlled_compose
 from .errors import DivergenceError, InputError
 from .fbm import RoughPath, TimeGrid
 from .model import ModelSpec, eval_path
@@ -170,18 +169,6 @@ def sup_distance(xeps: Trajectory, x: Trajectory) -> float:
     if xeps.grid != x.grid:
         raise InputError("trajectory and ODE path live on different grids")
     return float(np.max(np.linalg.norm(xeps.states - x.states, axis=1)))
-
-
-def trajectory_as_controlled(traj: Trajectory, model: ModelSpec, rp: RoughPath) -> ControlledPath:
-    """The solution as a controlled path: values X_t, derivative eps sigma(X_t)."""
-    gub = traj.epsilon * eval_path(model, model.diffusion, traj.states, (model.d, model.r))
-    return ControlledPath(values=np.asarray(traj.states, dtype=float), gubinelli=gub, driver=rp)
-
-
-def sigma_controlled(traj: Trajectory, model: ModelSpec, rp: RoughPath) -> ControlledPath:
-    """sigma(X) as a controlled path with Gubinelli derivative eps (grad sigma) sigma."""
-    state_cp = trajectory_as_controlled(traj, model, rp)
-    return controlled_compose(model.diffusion, model.diffusion_dx, state_cp)
 
 
 def dump_trajectory_csv(traj: Trajectory, fname) -> None:

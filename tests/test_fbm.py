@@ -12,9 +12,7 @@ from fracmle import (
     InputError,
     ResourceError,
     TimeGrid,
-    area_holder_seminorm,
     chen_defect,
-    holder_seminorm,
     lift,
     sample_fbm,
 )
@@ -136,6 +134,18 @@ def test_lift_symmetry_exact():
     assert a[0, 1] + a[1, 0] == pytest.approx(tot[0] * tot[1], abs=1e-15)
 
 
+def test_coarse_areas_compose_fine_areas():
+    # the per-coarse-step areas the solver consumes are the Chen compositions of the
+    # fine-step areas: cross terms, diagonal 0.5*dB^2 and the antisymmetric completion
+    hv = HurstVector((0.4, 0.45))
+    rp = sampled_lift(hv, TimeGrid(1.0, 16, 3), 20)
+    sub = rp.grid.substeps
+    for k in range(rp.grid.n_coarse):
+        i, j = k * sub, (k + 1) * sub
+        assert np.allclose(rp.coarse_areas[k], rp.area(i, j), rtol=0.0, atol=1e-15)
+        assert np.allclose(rp.coarse_increments[k], rp.increment(i, j), rtol=0.0, atol=1e-15)
+
+
 def test_chen_defect_degenerate(h04):
     rp = sampled_lift(h04, TimeGrid(1.0, 8, 2), 13)
     assert np.all(chen_defect(rp, 0.25, 0.25, 0.75) == 0.0)
@@ -197,38 +207,6 @@ def test_lift_refinement_cauchy_rate():
     rms = np.array([np.sqrt(np.mean(np.square(diffs[lev]))) for lev in ls])
     fit = linregress(ls, np.log2(rms))
     assert fit.slope <= -(2 * 0.4 - 0.5 - 0.1)
-
-
-def test_holder_seminorm_constant_and_linear():
-    t = np.linspace(0.0, 1.0, 65)
-    assert holder_seminorm(t, np.ones_like(t), 0.4) == 0.0
-    # linear path: sup |t-s|^(1-alpha) attained at (0, 1)
-    assert holder_seminorm(t, t, 0.4) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_holder_seminorm_alpha_domain():
-    t = np.linspace(0.0, 1.0, 9)
-    with pytest.raises(InputError):
-        holder_seminorm(t, t, 0.0)
-    with pytest.raises(InputError):
-        holder_seminorm(t, t, 1.5)
-
-
-def test_seminorm_monotone_under_restriction(h04):
-    grid = TimeGrid(1.0, 128, 0)
-    path = sample_fbm(h04, grid, 18)
-    nodes = grid.fine_nodes()
-    full = holder_seminorm(nodes, path, 0.4)
-    half1 = holder_seminorm(nodes[:65], path[:65], 0.4)
-    half2 = holder_seminorm(nodes[64:], path[64:], 0.4)
-    assert full >= max(half1, half2)
-
-
-def test_area_seminorm_finite_and_monotone_alpha():
-    hv = HurstVector((0.4, 0.45))
-    rp = sampled_lift(hv, TimeGrid(1.0, 64, 2), 19)
-    v = area_holder_seminorm(rp, 0.8)
-    assert np.isfinite(v) and v > 0.0
 
 
 def test_resource_guard_on_huge_grid(h04):

@@ -13,6 +13,8 @@ from fracmle import (
     HurstVector,
     InputError,
     ModelSpec,
+    OptimizationError,
+    OptimizerConfig,
     TimeGrid,
     build_context,
     build_Y,
@@ -552,6 +554,65 @@ def test_mle_zero1d_converges_at_first_start():
     assert rec.loglik == 0.0
 
 
+def _ou_mean_model():
+    """b = -theta1 (x - theta2): an OU process with unknown rate and mean, not affine in
+    theta (its mixed second theta-derivative is 1)."""
+
+    def dth1(x, th):
+        x = np.asarray(x, dtype=float)
+        return np.stack([th[1] - x, np.full(x.shape, th[0])], axis=-1)
+
+    def dth2(x, th):
+        return np.broadcast_to(np.array([[0.0, 1.0], [1.0, 0.0]]), np.shape(x) + (2, 2))
+
+    return ModelSpec(
+        name="ou-mean",
+        d=1,
+        r=1,
+        m=2,
+        theta_domain=[[0.1, 5.0], [-3.0, 3.0]],
+        drift=lambda x, th: -th[0] * (np.asarray(x, dtype=float) - th[1]),
+        drift_dx=lambda x, th: np.full(np.shape(x) + (1,), -th[0]),
+        drift_dtheta=(dth1, dth2) + _zeros_theta_derivs(1, 2, 3),
+        diffusion=LIN.diffusion,
+        diffusion_dx=LIN.diffusion_dx,
+        diffusion_dxx=LIN.diffusion_dxx,
+        theta_linear=False,
+    )
+
+
+@pytest.mark.parametrize("rid", [14, 62, 134, 144, 165, 175, 196])
+def test_mle_converges_where_backtracking_steps_are_tiny(rid):
+    # on these paths the starts near the maximum take Newton steps below 1e-5
+    # relative while the gradient is still above the stationarity gate; only a
+    # step that leaves theta exactly unchanged may end a start there
+    model = _ou_mean_model()
+    grid = TimeGrid(1.0, 512, 0)
+    traj = solve_rde(model, (1.0, 0.5), 0.025, sampled_lift(H04, grid, (2024, rid)), [2.0])
+    ctx = build_context(traj, model, H04)
+    rec = mle(ctx, theta0=(1.0, 0.5))
+    assert rec.converged
+    assert not rec.boundary_flag
+    _, grad, _ = likelihood_parts(ctx, rec.theta_hat, order=1)
+    assert np.linalg.norm(grad) <= OptimizerConfig().grad_tol * abs(rec.loglik)
+
+
+def test_optimization_error_records_each_start_final_state():
+    ctx, _ = _linear_ctx(82, n=128)
+    ctx = dataclasses.replace(ctx, model=_squared_rate_model())
+    with pytest.raises(OptimizationError) as info:
+        mle(ctx, OptimizerConfig(max_iter=1))
+    diags = info.value.diagnostics
+    assert len(diags) == OptimizerConfig().n_starts
+    for entry in diags:
+        assert set(entry) == {"start", "theta", "ll", "grad_norm", "converged", "iters"}
+        assert not entry["converged"]
+        assert entry["ll"] == log_likelihood(ctx, entry["theta"])
+        theta = np.array(entry["theta"])
+        grad = inference._projected_gradient(ctx.model, theta, grad_log_likelihood(ctx, theta))
+        assert entry["grad_norm"] == pytest.approx(np.linalg.norm(grad), rel=1e-12)
+
+
 # ---------------------------------------------------------------- gamma
 
 
@@ -644,11 +705,27 @@ def test_y_limit_exact_quadratic_factorization():
 
 
 def test_y_limit_matches_half_gamma_quadratic():
-    grid = TimeGrid(1.0, 1024, 0)
-    ode = solve_ode(LIN, TH0, X0, grid)
-    gm = gamma_matrix(LIN, TH0, H04, grid, X0)
-    val = y_limit_field(LIN, [2.0], TH0, H04, ode)
-    assert val == pytest.approx(-0.5 * gm.matrix[0, 0], rel=1e-10)
+    # theta-linear drift: the field is -1/2 (theta - theta0)^T Gamma (theta - theta0),
+    # with Gamma at refine 1 on the same grid
+    cases = [
+        (LIN, H04, TH0, X0, 1024, [(2.0,), (0.3,), (4.9,)]),
+        (
+            get_model("cross2d"),
+            HurstVector((0.4, 0.45)),
+            np.array([1.0, 2.0]),
+            np.array([1.0, 1.0]),
+            512,
+            [(2.0, 2.0), (0.3, 4.5), (4.9, 0.2), (1.5, 1.0)],
+        ),
+    ]
+    for model, hv, th0, x0, n, thetas in cases:
+        grid = TimeGrid(1.0, n, 0)
+        ode = solve_ode(model, th0, x0, grid)
+        gm = gamma_matrix(model, th0, hv, grid, x0)
+        for th in thetas:
+            dth = np.subtract(th, th0)
+            val = y_limit_field(model, th, th0, hv, ode)
+            assert val == pytest.approx(-0.5 * dth @ gm.matrix @ dth, rel=1e-10)
 
 
 def test_identifiability_scan_positive():

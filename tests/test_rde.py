@@ -17,7 +17,7 @@ from fracmle import (
     solve_rde,
     sup_distance,
 )
-from fracmle.model import _UNIT_NOISE, ModelSpec, _zeros_theta_derivs
+from fracmle.model import _UNIT_NOISE, ModelSpec, _zeros_theta_derivs, eval_path
 from fracmle.rde import BLOWUP_GUARD, solve_rde_batch
 
 from conftest import edge_cubic_model, sampled_lift
@@ -346,3 +346,85 @@ def test_non_finite_x0_is_input_error(solve):
     }
     with pytest.raises(InputError, match="non-finite x0"):
         calls[solve]()
+
+
+# ------------------------------------------- the solution as a controlled path
+
+
+def _sigma_controlled(traj, model):
+    """sigma(X) on the coarse nodes, (N+1, d, r), and its Gubinelli derivative
+    (grad sigma)(X) eps sigma(X), (N+1, d, r, r): the solution's own derivative is
+    eps sigma(X), pushed through sigma by the chain rule."""
+    sig = eval_path(model, model.diffusion, traj.states, (model.d, model.r))
+    dsig = eval_path(model, model.diffusion_dx, traj.states, (model.d, model.r, model.d))
+    return sig, np.einsum("kaic,kcj->kaij", dsig, traj.epsilon * sig)
+
+
+def _one_step_residual_slope(sig, gub, rp):
+    """Log-log slope, against the interval length, of the mean residual between the
+    compensated sum of sig dB + gub Area over the coarse steps of a dyadic interval
+    [s, t] and its one-step value sig_s B_st + gub_s Area_st."""
+    grid = rp.grid
+    n, sub = grid.n_coarse, grid.substeps
+    steps = np.einsum("kaj,kj->ka", sig[:-1], rp.coarse_increments)
+    steps += np.einsum("kaij,kji->ka", gub[:-1], rp.coarse_areas)
+    lengths, means = [], []
+    size = n // 2
+    while size >= 4:
+        residuals = []
+        for k in range(0, n - size + 1, size):
+            i, j = k * sub, (k + size) * sub
+            one = sig[k] @ rp.increment(i, j) + np.einsum("aij,ji->a", gub[k], rp.area(i, j))
+            residuals.append(np.linalg.norm(steps[k : k + size].sum(axis=0) - one))
+        lengths.append(size * grid.dt)
+        means.append(np.mean(residuals))
+        size //= 2
+    return linregress(np.log(lengths), np.log(means)).slope
+
+
+def _holder(times, values, alpha):
+    """sup over node pairs of |Y_t - Y_s| / |t - s|^alpha."""
+    return max(
+        float(np.max(np.linalg.norm(values[g:] - values[:-g], axis=-1) / (times[g:] - times[:-g]) ** alpha))
+        for g in range(1, len(times))
+    )
+
+
+def _area_holder(rp, two_alpha):
+    """sup over coarse-node pairs of |Area_st|_F / |t - s|^(2 alpha), each Area_st
+    composed from the per-step areas by Chen's relation."""
+    nodes, cb, n = rp.grid.coarse_nodes(), rp.coarse_values(), rp.grid.n_coarse
+    best = 0.0
+    for s in range(n):
+        chen = rp.coarse_areas[s:] + (cb[s:n] - cb[s])[:, :, None] * rp.coarse_increments[s:, None, :]
+        norms = np.sqrt((np.cumsum(chen, axis=0) ** 2).sum(axis=(1, 2)))
+        best = max(best, float(np.max(norms / (nodes[s + 1 :] - nodes[s]) ** two_alpha)))
+    return best
+
+
+def test_exponent_fit_on_cross2d_solution():
+    # sigma(X) is controlled by the driver with remainder order 3 alpha
+    model = get_model("cross2d")
+    hv = HurstVector((0.4, 0.4))
+    grid = TimeGrid(1.0, 256, 4)
+    rp = sampled_lift(hv, grid, (31, 0))
+    traj = solve_rde(model, [1.0, 2.0], 1.0, rp, [1.0, 1.0])
+    slope = _one_step_residual_slope(*_sigma_controlled(traj, model), rp)
+    assert slope >= 3 * 0.4 - 0.15
+
+
+def test_he_ratio_bounded_over_drivers(h04):
+    # ratio ||X||_alpha / (1 + ||(B, Area)||^(1/alpha)) stays within 10x median
+    model = get_model("linear1d")
+    grid = TimeGrid(1.0, 128, 0)
+    nodes = grid.coarse_nodes()
+    alpha = 0.38
+    ratios = []
+    for s in range(50):
+        rp = sampled_lift(h04, grid, (43, s))
+        traj = solve_rde(model, [1.0], 1.0, rp, [1.0])
+        xn = _holder(nodes, traj.states, alpha)
+        bn = _holder(nodes, rp.coarse_values(), alpha) + np.sqrt(_area_holder(rp, 2 * alpha))
+        ratios.append(xn / (1.0 + bn ** (1.0 / alpha)))
+    ratios = np.array(ratios)
+    assert ratios.max() <= 10.0 * np.median(ratios)
