@@ -72,11 +72,9 @@ from .inference import (
 )
 from .mcstudy import (
     EpsSummary,
-    NormalityReport,
     ReplicateResult,
     StudyConfig,
     StudySummary,
-    normality_report,
     run_replicate,
     run_study,
 )

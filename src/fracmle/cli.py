@@ -19,7 +19,7 @@ from .errors import ConfigError, FracmleError
 from .fbm import HurstVector, TimeGrid, chen_defect, dump_driver_csv, lift, sample_fbm
 from .inference import build_context, gamma_matrix, mle, verify_transfer_identity
 from .mcstudy import run_study
-from .model import ProbeConfig, finite_difference_check, get_model, probe_assumptions
+from .model import finite_difference_check, get_model, probe_assumptions
 from .rde import dump_trajectory_csv, load_trajectory_csv, solve_rde
 
 EXIT_OK = 0
@@ -178,15 +178,8 @@ def cmd_selftest(args) -> int:
         return worst <= 1e-4, f"max FD mismatch {worst:.2e}"
 
     def assumptions():
-        # --config selects the model and probe ranges; default is linear1d
-        if args.config is not None:
-            doc = cfgmod.load_config(args.config)
-            model = cfgmod.model_from(doc)
-            probe = cfgmod.probe_from(doc)
-        else:
-            model = get_model("linear1d")
-            probe = ProbeConfig()
-        rep = probe_assumptions(model, probe, seed=1)
+        model = get_model("linear1d")
+        rep = probe_assumptions(model, seed=1)
         return all(rep.pass_flags.values()), f"{model.name} flags {rep.pass_flags}"
 
     def transfer():
@@ -215,8 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"fracmle {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_config=True):
-        p.add_argument("--config", required=needs_config, help="JSON config file")
+    def add_common(p):
+        p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
 
     p_sim = sub.add_parser("simulate", help="simulate one trajectory and dump CSVs")
@@ -240,8 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gamma.set_defaults(fn=cmd_gamma)
 
     p_self = sub.add_parser("selftest", help="run the built-in invariant battery")
-    p_self.add_argument("--config", default=None, help="optional; model + probe ranges for the assumption check")
-    p_self.add_argument("--seed", type=int, default=None, help="ignored; fixed internal seeds")
     p_self.set_defaults(fn=cmd_selftest)
 
     return parser

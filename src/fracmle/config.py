@@ -15,7 +15,7 @@ from .errors import ConfigError
 from .fbm import HurstVector, TimeGrid
 from .inference import OptimizerConfig
 from .mcstudy import StudyConfig
-from .model import ModelSpec, ProbeConfig, get_model
+from .model import ModelSpec, get_model
 
 _HURST_ITEM = {
     "type": "number",
@@ -82,19 +82,6 @@ SCHEMA = {
                 "epsilons": {"type": "array", "items": _EPSILON, "minItems": 1},
                 "n_replicates": {"type": "integer", "minimum": 2},
                 "gamma_refine": {"type": "integer", "minimum": 1},
-            },
-        },
-        "probe": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "lo": {"type": "number"},
-                "hi": {"type": "number"},
-                "n_points": {"type": "integer", "minimum": 2},
-                "n_pairs": {"type": "integer", "minimum": 1},
-                "n_theta": {"type": "integer", "minimum": 1},
-                "growth_exponent": {"type": "number", "exclusiveMinimum": 0.0},
-                "ac_exponent": {"type": "number", "exclusiveMinimum": 0.0},
             },
         },
         "output": {
@@ -169,10 +156,6 @@ def model_and_hurst(doc: dict) -> tuple:
 
 def optimizer_from(doc: dict) -> OptimizerConfig:
     return OptimizerConfig(**doc.get("optimizer", {}))
-
-
-def probe_from(doc: dict) -> ProbeConfig:
-    return ProbeConfig(**doc.get("probe", {}))
 
 
 def require(doc: dict, section: str, key: str):

@@ -44,8 +44,6 @@ class QField:
 @dataclass(frozen=True)
 class GammaMatrix:
     matrix: np.ndarray  # (m, m)
-    hurst: HurstVector
-    theta0: tuple
     min_eigenvalue: float
     a5_ok: bool
 
@@ -86,7 +84,6 @@ class LikelihoodContext:
     trajectory: Trajectory
     model: ModelSpec
     hurst: HurstVector
-    epsilon: float
     plans: tuple
     y: np.ndarray  # (N+1, r)
     z: np.ndarray  # (N+1, r)
@@ -143,7 +140,6 @@ def build_context(traj: Trajectory, model: ModelSpec, hurst: HurstVector) -> Lik
         trajectory=traj,
         model=model,
         hurst=hurst,
-        epsilon=traj.epsilon,
         plans=plans,
         y=y,
         z=z,
@@ -210,7 +206,7 @@ def likelihood_parts(ctx: LikelihoodContext, theta, order: int = 2):
         ctx.trajectory.states,
         ctx.model,
         theta,
-        ctx.epsilon,
+        ctx.trajectory.epsilon,
         ctx.hurst,
         ctx.plans,
         order=order,
@@ -352,7 +348,7 @@ def mle(
     )
     u = None
     if theta0 is not None:
-        u = tuple(((theta_hat - np.asarray(theta0, dtype=float)) / ctx.epsilon).tolist())
+        u = tuple(((theta_hat - np.asarray(theta0, dtype=float)) / ctx.trajectory.epsilon).tolist())
     return EstimateRecord(
         theta_hat=tuple(theta_hat.tolist()),
         u=u,
@@ -386,8 +382,6 @@ def gamma_matrix(
     eigs = np.linalg.eigvalsh(gam)
     return GammaMatrix(
         matrix=gam,
-        hurst=hurst,
-        theta0=tuple(theta0.tolist()),
         min_eigenvalue=float(eigs[0]),
         a5_ok=bool(eigs[0] > 0.0),
     )

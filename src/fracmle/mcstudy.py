@@ -20,6 +20,7 @@ import dataclasses
 import hashlib
 import json
 import logging
+import multiprocessing
 import os
 import time
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
@@ -82,6 +83,8 @@ class StudyConfig:
             raise InputError("n_replicates must be at least 2")
         if self.seed < 0:
             raise InputError(f"seed must be non-negative, got {self.seed}")
+        if not self.epsilons:
+            raise InputError("epsilons must hold at least one level")
         for e in self.epsilons:
             if not 0.0 < e <= 1.0:
                 raise InputError(f"epsilon {e} outside (0, 1]")
@@ -123,17 +126,6 @@ class ReplicateResult:
         }
         doc.update(self.record.to_json_dict() if self.record else {"theta_hat": None})
         return doc
-
-
-@dataclass(frozen=True)
-class NormalityReport:
-    n: int
-    mean: np.ndarray
-    cov: np.ndarray
-    cov_rel_error: float
-    skewness: np.ndarray
-    excess_kurtosis: np.ndarray
-    degenerate: bool
 
 
 @dataclass(frozen=True)
@@ -247,47 +239,17 @@ def symmetric_sqrt(matrix: np.ndarray) -> np.ndarray:
     return (vecs * np.sqrt(vals)) @ vecs.T
 
 
-def _moments(samples: np.ndarray, gamma_inv: np.ndarray) -> tuple:
-    """(mean, cov, cov_rel, degenerate) of (n, m) samples; cov_rel is the
-    relative Frobenius distance of the sample covariance to gamma_inv."""
-    m = samples.shape[1]
-    mean = samples.mean(axis=0)
-    cov = np.cov(samples, rowvar=False, ddof=1).reshape(m, m)
-    cov_rel = float(np.linalg.norm(cov - gamma_inv) / np.linalg.norm(gamma_inv))
-    eigs = np.linalg.eigvalsh(cov)
-    degenerate = bool(eigs[0] <= EIGENVALUE_FLOOR * max(1.0, eigs[-1]))
-    return mean, cov, cov_rel, degenerate
-
-
 def _skew_kurtosis(std: np.ndarray) -> tuple:
-    """Per-column skewness and excess kurtosis of (n, m) standardized samples."""
-    # imported here so that importing the package does not load scipy.stats
-    from scipy import stats as sp_stats
-
-    m = std.shape[1]
-    skew = np.array([float(sp_stats.skew(std[:, j])) for j in range(m)])
-    kurt = np.array([float(sp_stats.kurtosis(std[:, j], fisher=True)) for j in range(m)])
-    return skew, kurt
-
-
-def normality_report(samples: np.ndarray, gamma: GammaMatrix) -> NormalityReport:
-    """Moment diagnostics of normalized errors against N(0, Gamma^-1).
-
-    Samples are standardized through the symmetric square root of Gamma
-    for the skewness and excess kurtosis.
-    """
-    samples = np.asarray(samples, dtype=float)
-    if samples.ndim == 1:
-        samples = samples[:, None]
-    n, m = samples.shape
-    if n < 30:
-        raise InputError(f"need at least 30 samples, got {n}")
-    root = symmetric_sqrt(gamma.matrix)  # before inv: a singular Gamma is a StandardizationError
-    mean, cov, cov_rel, degenerate = _moments(samples, np.linalg.inv(gamma.matrix))
-    skew = kurt = np.full(m, np.nan)
-    if not degenerate:
-        skew, kurt = _skew_kurtosis(samples @ root)
-    return NormalityReport(n, mean, cov, cov_rel, skew, kurt, degenerate)
+    """Per-column skewness m3/m2^1.5 and excess kurtosis m4/m2^2 - 3 of (n, m)
+    standardized samples, from the biased central moments of each column."""
+    skew, kurt = [], []
+    for col in std.T:  # one 1-D reduction per column; a 2-D one rounds differently
+        d = col - col.mean()
+        d2 = d * d
+        m2, m3, m4 = d2.mean(), (d2 * d).mean(), (d2 * d2).mean()
+        skew.append(m3 / m2**1.5)
+        kurt.append(m4 / m2**2 - 3.0)
+    return np.array(skew), np.array(kurt)
 
 
 def summarize_epsilon(
@@ -307,7 +269,9 @@ def summarize_epsilon(
         )
     us = np.array([res.record.u for res in ok])
     scores = np.array([res.score for res in ok])
-    mean, cov, cov_rel, degenerate = _moments(us, gamma_inv)
+    cov = np.cov(us, rowvar=False, ddof=1).reshape(m, m)
+    eigs = np.linalg.eigvalsh(cov)
+    degenerate = bool(eigs[0] <= EIGENVALUE_FLOOR * max(1.0, eigs[-1]))
     skew = kurt = nan_v
     if len(ok) >= 30 and gamma.a5_ok and not degenerate:
         skew, kurt = _skew_kurtosis(us @ symmetric_sqrt(gamma.matrix))
@@ -315,9 +279,9 @@ def summarize_epsilon(
         epsilon=float(epsilon),
         n_ok=len(ok),
         n_failed=n_failed,
-        mean_u=mean,
+        mean_u=us.mean(axis=0),
         cov_u=cov,
-        cov_rel_error=cov_rel,
+        cov_rel_error=float(np.linalg.norm(cov - gamma_inv) / np.linalg.norm(gamma_inv)),
         skewness=skew,
         excess_kurtosis=kurt,
         mean_sq_u=float(np.mean(np.sum(us**2, axis=1))),
@@ -338,11 +302,17 @@ def _study_gamma(cfg: StudyConfig) -> GammaMatrix:
     )
 
 
+def _pool_context():
+    """fork where the platform has it: forked workers inherit the models added with
+    register, which workers that re-import fracmle (spawn, forkserver) would lack."""
+    return multiprocessing.get_context("fork") if "fork" in multiprocessing.get_all_start_methods() else None
+
+
 def _gamma_and_results(cfg: StudyConfig, epsilons: tuple, blocks: list, jobs: int) -> tuple:
     """Gamma and the results of all blocks, in block order; see run_study."""
     if jobs > 1:
         try:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
+            with ProcessPoolExecutor(max_workers=jobs, mp_context=_pool_context()) as pool:
                 pending = pool.map(_run_block, repeat(cfg), repeat(epsilons), blocks)
                 try:
                     gamma = _study_gamma(cfg)

@@ -176,7 +176,7 @@ def weighted_path(model: ModelSpec, states: np.ndarray):
 
 @dataclass(frozen=True)
 class ProbeConfig:
-    """Probe ranges and exponents for the assumption report."""
+    """Probe ranges, counts and growth exponent for the assumption report."""
 
     lo: float = -5.0
     hi: float = 5.0
@@ -184,7 +184,6 @@ class ProbeConfig:
     n_pairs: int = 200
     n_theta: int = 20
     growth_exponent: float = 1.0  # N in (1 + |x|^N)
-    ac_exponent: float = 0.3  # lambda in the weighted-drift growth probe
 
 
 @dataclass(frozen=True)
@@ -194,7 +193,6 @@ class AssumptionReport:
     polygrowth_estimate: dict  # keyed by (theta_order, x_order)
     ellipticity_min: float
     diffusion_bound_estimate: float
-    ac_growth_estimate: float
     pass_flags: dict
 
 
@@ -256,12 +254,6 @@ def probe_assumptions(
     a = sig @ np.swapaxes(sig, 1, 2)
     det = np.linalg.det(a)
     ell_min = float(np.min(det))
-    ok = det > ELLIPTICITY_FLOOR
-    ac_growth = 0.0
-    if np.any(ok):
-        f = np.swapaxes(sig[ok], 1, 2) @ np.linalg.inv(a[ok])  # sigma* A^-1
-        vals = np.linalg.norm(np.einsum("kia,tka->tki", f, drifts[:, ok]), axis=-1)
-        ac_growth = float(np.max(vals / (1.0 + norms[ok] ** probe.ac_exponent)))
 
     flags = {
         "lipschitz": bool(np.isfinite(lip) and lip <= PROBE_BOUND),
@@ -275,7 +267,6 @@ def probe_assumptions(
         polygrowth_estimate=growth,
         ellipticity_min=ell_min,
         diffusion_bound_estimate=sig_bound,
-        ac_growth_estimate=ac_growth,
         pass_flags=flags,
     )
 

@@ -383,7 +383,7 @@ def test_negative_config_seed_is_validation_error(tmp_path, linear_config):
 
 @pytest.mark.parametrize(
     "command, section, key, value",
-    [("estimate", "optimizer", "n_starts", 5), ("selftest", "probe", "n_pairs", 50)],
+    [("estimate", "optimizer", "n_starts", 5)],
 )
 def test_integer_option_written_as_float_runs_as_the_integer(
     tmp_path, linear_config, command, section, key, value
@@ -410,7 +410,6 @@ def test_validate_config_casts_every_integer_field(linear_config):
         grid={"T": 1.0, "n_coarse": 128.0, "refine_level": 1.0},
         optimizer={"n_starts": 5.0, "max_iter": 40.0},
         study={"epsilons": [0.1], "n_replicates": 40.0, "gamma_refine": 2.0},
-        probe={"n_points": 100.0, "n_pairs": 50.0, "n_theta": 10.0},
         seed=7.0,
     )
     doc = validate_config(doc)
@@ -420,7 +419,7 @@ def test_validate_config_casts_every_integer_field(linear_config):
         for key, spec in sub.get("properties", {}).items()
         if spec.get("type") == "integer"
     ]
-    assert len(fields) == 10
+    assert len(fields) == 7
     for section, key in fields:
         value = doc[section] if key is None else doc[section][key]
         assert type(value) is int, (section, key)
@@ -437,6 +436,21 @@ def test_selftest_passes():
     assert "[PASS]" in res.stdout and "[FAIL]" not in res.stdout
 
 
+@pytest.mark.parametrize("flag", [("--config", "cfg.json"), ("--seed", "3")])
+def test_selftest_takes_no_options(flag):
+    res = run_cli("selftest", *flag)
+    assert res.returncode == 2
+    assert "unrecognized arguments" in res.stderr
+
+
+def test_probe_section_is_validation_error(tmp_path, linear_config):
+    _, doc = linear_config
+    cfg = _write(tmp_path, dict(doc, probe={"n_pairs": 50}))
+    res = run_cli("estimate", "--config", str(cfg), "--seed", "1")
+    assert res.returncode == 2
+    assert "probe" in res.stderr and "Traceback" not in res.stderr
+
+
 def test_cli_import_leaves_out_heavy_scipy_modules():
     # module presence, not wall-clock time
     heavy = (
@@ -445,6 +459,18 @@ def test_cli_import_leaves_out_heavy_scipy_modules():
     probe = f"import sys, fracmle.cli; print(sorted(m for m in {heavy!r} if m in sys.modules))"
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_study_leaves_out_scipy_stats():
+    # 30 successes per epsilon, so the study computes skewness and kurtosis
+    probe = (
+        "import math, sys; from fracmle import StudyConfig, run_study; "
+        "s = run_study(StudyConfig(model='linear1d', theta0=(1.0,), x0=(1.0,), hurst=(0.4,), "
+        "epsilons=(0.1,), n_replicates=30, n_coarse=64, seed=3, n_jobs=1)).per_eps[0]; "
+        "print(s.n_ok, math.isfinite(s.skewness[0]), 'scipy.stats' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["30", "True", "False"]
 
 
 @pytest.mark.parametrize("kind", ["two_columns", "t_only", "nan", "ragged", "text"])

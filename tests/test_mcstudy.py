@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracmle import (
     EstimateRecord,
@@ -12,16 +14,14 @@ from fracmle import (
     HurstVector,
     InputError,
     ReplicateResult,
-    StandardizationError,
     StudyConfig,
     TimeGrid,
     gamma_matrix,
     get_model,
-    normality_report,
     run_replicate,
     run_study,
 )
-from fracmle.mcstudy import summarize_epsilon, symmetric_sqrt
+from fracmle.mcstudy import _skew_kurtosis, summarize_epsilon, symmetric_sqrt
 
 from conftest import die_in_worker
 
@@ -173,55 +173,6 @@ def test_study_failed_replicates_reported():
     assert summary.per_eps[0].n_ok + summary.per_eps[0].n_failed == 10
 
 
-def test_normality_report_self_test():
-    rng = np.random.default_rng(9)
-    gamma = GammaMatrix(
-        matrix=np.array([[0.5]]), hurst=None, theta0=(1.0,), min_eigenvalue=0.5, a5_ok=True
-    )
-    ginv = np.linalg.inv(gamma.matrix)
-    samples = rng.standard_normal((300, 1)) @ symmetric_sqrt(ginv)
-    rep = normality_report(samples, gamma)
-    assert rep.cov_rel_error <= 0.2
-    assert abs(rep.skewness[0]) <= 0.35
-    assert abs(rep.excess_kurtosis[0]) <= 0.7
-    assert not rep.degenerate
-
-
-def test_normality_report_constant_samples_degenerate():
-    gamma = GammaMatrix(
-        matrix=np.array([[1.0]]), hurst=None, theta0=(1.0,), min_eigenvalue=1.0, a5_ok=True
-    )
-    rep = normality_report(np.full((50, 1), 2.0), gamma)
-    assert rep.degenerate
-
-
-def test_normality_report_alternating_signs():
-    gamma = GammaMatrix(
-        matrix=np.array([[1.0]]), hurst=None, theta0=(0.0,), min_eigenvalue=1.0, a5_ok=True
-    )
-    n = 100
-    samples = np.array([1.0 if i % 2 == 0 else -1.0 for i in range(n)])[:, None]
-    rep = normality_report(samples, gamma)
-    assert rep.mean[0] == 0.0
-    assert rep.cov[0, 0] == pytest.approx(n / (n - 1))
-
-
-def test_normality_report_singular_gamma():
-    gamma = GammaMatrix(
-        matrix=np.zeros((1, 1)), hurst=None, theta0=(0.0,), min_eigenvalue=0.0, a5_ok=False
-    )
-    with pytest.raises(StandardizationError):
-        normality_report(np.random.default_rng(0).standard_normal((40, 1)), gamma)
-
-
-def test_normality_report_min_samples():
-    gamma = GammaMatrix(
-        matrix=np.eye(1), hurst=None, theta0=(0.0,), min_eigenvalue=1.0, a5_ok=True
-    )
-    with pytest.raises(InputError):
-        normality_report(np.zeros((10, 1)), gamma)
-
-
 def _packed(us: np.ndarray) -> list:
     """Normalized errors packed as successful replicates."""
     return [
@@ -234,27 +185,71 @@ def _packed(us: np.ndarray) -> list:
     ]
 
 
-def test_summarize_epsilon_matches_normality_report():
-    matrix = np.array([[2.0, 0.3], [0.3, 1.0]])
-    gamma = GammaMatrix(
-        matrix=matrix, hurst=None, theta0=(1.0, 2.0), min_eigenvalue=0.9, a5_ok=True
-    )
-    ginv = np.linalg.inv(matrix)
+def _gamma(matrix) -> GammaMatrix:
+    matrix = np.asarray(matrix, dtype=float)
+    eig = float(np.linalg.eigvalsh(matrix)[0])
+    return GammaMatrix(matrix=matrix, min_eigenvalue=eig, a5_ok=eig > 0.0)
+
+
+# the normality report of a study is its per-epsilon summary; summarize_epsilon builds it
+def test_normality_report_self_test():
+    rng = np.random.default_rng(9)
+    gamma = _gamma([[0.5]])
+    ginv = np.linalg.inv(gamma.matrix)
+    samples = rng.standard_normal((300, 1)) @ symmetric_sqrt(ginv)
+    s = summarize_epsilon(0.1, _packed(samples), gamma, ginv)
+    assert s.cov_rel_error <= 0.2
+    assert abs(s.skewness[0]) <= 0.35
+    assert abs(s.excess_kurtosis[0]) <= 0.7
+
+
+def test_normality_report_constant_samples_degenerate():
+    # a degenerate sample covariance leaves skewness and kurtosis unset
+    gamma = _gamma([[1.0]])
+    s = summarize_epsilon(0.1, _packed(np.full((50, 1), 2.0)), gamma, np.linalg.inv(gamma.matrix))
+    assert np.isnan(s.skewness).all() and np.isnan(s.excess_kurtosis).all()
+
+
+def test_normality_report_alternating_signs():
+    gamma = _gamma([[1.0]])
+    n = 100
+    samples = np.array([1.0 if i % 2 == 0 else -1.0 for i in range(n)])[:, None]
+    s = summarize_epsilon(0.1, _packed(samples), gamma, np.linalg.inv(gamma.matrix))
+    assert s.mean_u[0] == 0.0
+    assert s.cov_u[0, 0] == pytest.approx(n / (n - 1))
+
+
+def test_summarize_epsilon_matches_numpy_and_scipy_oracle():
+    from scipy import stats
+
+    gamma = _gamma([[2.0, 0.3], [0.3, 1.0]])
+    ginv = np.linalg.inv(gamma.matrix)
     us = np.random.default_rng(12).standard_normal((40, 2)) @ symmetric_sqrt(ginv)
     s = summarize_epsilon(0.1, _packed(us), gamma, ginv)
-    rep = normality_report(us, gamma)
+    cov = np.cov(us, rowvar=False, ddof=1)
+    std = us @ symmetric_sqrt(gamma.matrix)
     assert s.n_ok == 40 and s.n_failed == 0
-    assert np.array_equal(s.mean_u, rep.mean) and np.array_equal(s.cov_u, rep.cov)
-    assert s.cov_rel_error == rep.cov_rel_error
-    assert np.array_equal(s.skewness, rep.skewness)
-    assert np.array_equal(s.excess_kurtosis, rep.excess_kurtosis)
+    assert np.array_equal(s.mean_u, np.mean(us, axis=0)) and np.array_equal(s.cov_u, cov)
+    assert s.cov_rel_error == float(np.linalg.norm(cov - ginv) / np.linalg.norm(ginv))
+    assert np.array_equal(s.skewness, [stats.skew(std[:, j]) for j in range(2)])
+    assert np.array_equal(s.excess_kurtosis, [stats.kurtosis(std[:, j]) for j in range(2)])
     assert np.all(np.isfinite(s.skewness))
 
 
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(30, 3000), m=st.integers(1, 3), seed=st.integers(0, 2**32 - 1), heavy=st.booleans())
+def test_skew_kurtosis_matches_scipy_column_by_column(n, m, seed, heavy):
+    from scipy import stats
+
+    rng = np.random.default_rng(seed)
+    std = rng.standard_t(3, (n, m)) if heavy else rng.standard_normal((n, m)) * rng.uniform(0.1, 10.0, m)
+    skew, kurt = _skew_kurtosis(std)
+    assert np.array_equal(skew, [stats.skew(std[:, j]) for j in range(m)])
+    assert np.array_equal(kurt, [stats.kurtosis(std[:, j]) for j in range(m)])
+
+
 def test_summarize_epsilon_skips_shape_moments_below_30():
-    gamma = GammaMatrix(
-        matrix=np.array([[0.5]]), hurst=None, theta0=(1.0,), min_eigenvalue=0.5, a5_ok=True
-    )
+    gamma = _gamma([[0.5]])
     ginv = np.linalg.inv(gamma.matrix)
     us = np.random.default_rng(13).standard_normal((29, 1))
     s = summarize_epsilon(0.1, _packed(us), gamma, ginv)
@@ -267,6 +262,8 @@ def test_config_validation():
         _small_cfg(n_replicates=1)
     with pytest.raises(InputError):
         _small_cfg(epsilons=(1.5,))
+    with pytest.raises(InputError, match="epsilons"):
+        _small_cfg(epsilons=())
 
 
 def test_moment_convergence_small():
@@ -378,7 +375,7 @@ def test_pool_cancels_pending_blocks_when_gamma_fails(monkeypatch):
 
     class LazyPool:
         # map only queues; shutdown runs the blocks not cancelled, as a real pool does
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, mp_context=None):
             self.queued = []
 
         def __enter__(self):
@@ -583,3 +580,32 @@ def test_list_sequences_in_config_are_normalized():
     assert config_hash(lists) == config_hash(tuples)
     assert run_replicate(lists, 0.1, 0) == run_replicate(tuples, 0.1, 0)
     assert run_study(dataclasses.replace(lists, n_replicates=3)).per_eps[0].n_ok == 3
+
+
+_REGISTERED_MODEL_STUDY = """
+import dataclasses, multiprocessing, sys
+from fracmle import StudyConfig, get_model, register, run_study
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method(sys.argv[1])
+    register(dataclasses.replace(get_model("linear1d"), name="mylinear"))
+    cfg = StudyConfig(model="mylinear", theta0=(1.0,), x0=(1.0,), hurst=(0.4,), epsilons=(0.1,),
+                      n_replicates=8, n_coarse=64, seed=5, n_jobs=2)
+    print(run_study(cfg).per_eps[0].n_ok)
+"""
+
+
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_registered_model_study_runs_under_start_method(tmp_path, method):
+    # study workers fork where the platform can, so they know the models added with register
+    import multiprocessing
+    import subprocess
+    import sys
+
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"{method} is not available on this platform")
+    script = tmp_path / "study.py"
+    script.write_text(_REGISTERED_MODEL_STUDY)
+    res = subprocess.run([sys.executable, str(script), method], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "8"
