@@ -11,7 +11,6 @@ from .errors import (
     InputError,
     OptimizationError,
     ParameterDomainError,
-    PoleError,
     ResourceError,
     StandardizationError,
 )

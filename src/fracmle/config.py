@@ -12,15 +12,15 @@ from pathlib import Path
 import jsonschema
 
 from .errors import ConfigError
-from .fbm import HurstVector, TimeGrid
+from .fbm import HURST_HIGH, HURST_LOW, HurstVector, TimeGrid
 from .inference import OptimizerConfig
 from .mcstudy import StudyConfig
 from .model import ModelSpec, get_model
 
 _HURST_ITEM = {
     "type": "number",
-    "exclusiveMinimum": 1.0 / 3.0,
-    "exclusiveMaximum": 0.5,
+    "exclusiveMinimum": HURST_LOW,
+    "exclusiveMaximum": HURST_HIGH,
 }
 
 _EPSILON = {"type": "number", "exclusiveMinimum": 0.0, "maximum": 1.0}

@@ -43,10 +43,6 @@ class OptimizationError(FracmleError, RuntimeError):
         self.diagnostics = diagnostics or []
 
 
-class PoleError(FracmleError, ValueError):
-    """Evaluation at a pole of a Gamma-function expression."""
-
-
 class ResourceError(FracmleError, RuntimeError):
     """Requested grid or matrix would exceed the memory guard, or a worker process died."""
 

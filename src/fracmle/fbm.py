@@ -30,30 +30,22 @@ HURST_LOW = 1.0 / 3.0
 HURST_HIGH = 0.5
 
 
+def check_hurst(h) -> float:
+    """h as a float, or InputError unless it lies in the open interval (1/3, 1/2)."""
+    h = float(h)
+    if not HURST_LOW < h < HURST_HIGH:
+        raise InputError(f"Hurst index {h} outside (1/3, 1/2)")
+    return h
+
+
 @dataclass(frozen=True)
 class HurstVector:
-    """Per-component Hurst indices H_i, each in (1/3, 1/2).
-
-    With diagnostic=True the Brownian value H_i = 1/2 is also admitted so
-    classical results can be used as sanity oracles.
-    """
+    """Per-component Hurst indices H_i, each in (1/3, 1/2)."""
 
     h: tuple
-    diagnostic: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "h", tuple(float(v) for v in np.atleast_1d(self.h)))
-        for v in self.h:
-            if not np.isfinite(v):
-                raise InputError(f"non-finite Hurst index {v!r}")
-            if HURST_LOW < v < HURST_HIGH:
-                continue
-            if self.diagnostic and v == HURST_HIGH:
-                continue
-            raise InputError(
-                f"Hurst index {v} outside (1/3, 1/2)"
-                + ("" if self.diagnostic else " (diagnostic mode admits 1/2)")
-            )
+        object.__setattr__(self, "h", tuple(check_hurst(v) for v in np.atleast_1d(self.h)))
 
     @property
     def r(self) -> int:
@@ -222,11 +214,7 @@ def sample_fbm(hurst: HurstVector, grid: TimeGrid, seed) -> np.ndarray:
     path = np.zeros((n + 1, hurst.r))
     for i, h in enumerate(hurst):
         rng = Generator(Philox(SeedSequence(entropy=entropy, spawn_key=(i,))))
-        if h == 0.5:
-            fgn = rng.standard_normal(n)
-        else:
-            fgn = _fgn_circulant(n, h, rng)
-        path[1:, i] = np.cumsum(fgn) * scale**h
+        path[1:, i] = np.cumsum(_fgn_circulant(n, h, rng)) * scale**h
     return path
 
 

@@ -5,8 +5,9 @@ The weakly singular kernel (t-u)^(alpha-1) is integrated exactly against
 piecewise-linear data (product integration), so the left/right integral
 rules are exact for constant and linear integrands. On a uniform grid the
 weights depend only on k-l, which lets the transform run as a discrete
-convolution instead of a dense weight matrix. rl_integral_left,
-rl_integral_right and q_transform act along the last axis: a (c, N+1)
+convolution instead of a dense weight matrix. Every transform
+(rl_integral_left, rl_integral_right, q_transform, kh_inverse_transform)
+takes N+1 finite samples along the last axis of its input: a (c, N+1)
 stack is c independent rows, each bit-identical to its own 1-D call.
 
 The observation-to-Wiener transform W_k = sum_{l<k} kappa(t_k, m_l) dY_l
@@ -46,8 +47,8 @@ from scipy.special import binom
 from scipy.special import gamma as gamma_fn
 from scipy.special import hyp2f1
 
-from .errors import InputError, PoleError
-from .fbm import TimeGrid
+from .errors import InputError
+from .fbm import HURST_HIGH, HURST_LOW, TimeGrid, check_hurst
 
 # rows k <= KERNEL_HEAD_ROWS of kappa come from its closed form, later rows
 # from the series truncated after KERNEL_SERIES_ORDER + 1 terms
@@ -58,7 +59,7 @@ _TABLE_GAUSS_NODES = 20
 
 def d_H(hurst: float) -> float:
     """Normalizing constant sqrt(2H G(3/2-H) G(H+1/2) / G(2-2H)); equals 1 at H=1/2."""
-    if not 1.0 / 3.0 < hurst <= 0.5:
+    if not HURST_LOW < hurst <= HURST_HIGH:
         raise InputError(f"Hurst index {hurst} outside (1/3, 1/2]")
     return math.sqrt(
         2.0 * hurst * gamma_fn(1.5 - hurst) * gamma_fn(hurst + 0.5) / gamma_fn(2.0 - 2.0 * hurst)
@@ -66,11 +67,8 @@ def d_H(hurst: float) -> float:
 
 
 def gamma_H(hurst: float) -> float:
-    """Score-scaling constant (d_H * G(1/2-H))^-2; undefined at H=1/2 (Gamma pole)."""
-    if hurst == 0.5:
-        raise PoleError("gamma_H has a Gamma(0) pole at H=1/2")
-    if not 1.0 / 3.0 < hurst < 0.5:
-        raise InputError(f"Hurst index {hurst} outside (1/3, 1/2)")
+    """Score-scaling constant (d_H * G(1/2-H))^-2 for H in (1/3, 1/2)."""
+    hurst = check_hurst(hurst)
     return (d_H(hurst) * gamma_fn(0.5 - hurst)) ** -2.0
 
 
@@ -166,13 +164,14 @@ class FracKernelPlan:
     weights_left/weights_right hold the Toeplitz generators (A, C) of the
     product-integration weights w_{k,l} for I^a_{0+} and I^a_{T-} (the
     dense matrix is never materialized; row sums are checked through the
-    rules' action on f == 1). Plans built from a Hurst index H < 1/2 also
-    carry the observation-to-Wiener kernel kappa(t_k, m_l), which is never
-    formed whole: kernel_matrix holds rows k <= J of kappa (all of it when
-    n <= J), and kernel_tail the series for the rows after J (J = 32 and
-    P = 10, see the module docstring). Together they keep about 1 MB at
-    n = 4096. At H = 1/2 kappa == 1, so the transform is W = Y - Y_0 and
-    both are None.
+    rules' action on f == 1). Plans built from a Hurst index H in
+    (1/3, 1/2) have order a = 1/2 - H and also carry the
+    observation-to-Wiener kernel kappa(t_k, m_l), which is never formed
+    whole: kernel_matrix holds rows k <= J of kappa (all of it when n <= J),
+    and kernel_tail the series for the rows after J (J = 32 and P = 10, see
+    the module docstring). Together they keep about 1 MB at n = 4096. Plans
+    from for_order have neither (hurst, kernel_matrix and kernel_tail are
+    None).
     """
 
     hurst: float | None
@@ -195,12 +194,8 @@ class FracKernelPlan:
 
     @staticmethod
     def build(hurst: float, grid: TimeGrid) -> "FracKernelPlan":
-        if not 1.0 / 3.0 < hurst <= 0.5:
-            raise InputError(f"Hurst index {hurst} outside (1/3, 1/2]")
+        hurst = check_hurst(hurst)
         alpha = 0.5 - hurst
-        if alpha == 0.0:
-            # H = 1/2 diagnostic mode: I^0 = identity, kappa == 1
-            return FracKernelPlan(hurst, grid, alpha, (None, None), (None, None), None)
         n = grid.n_coarse
         A, C = _pi_kernels(alpha, n, grid.dt)
         head = _lower_triangular_kernel(hurst, grid.dt, min(n, KERNEL_HEAD_ROWS) + 1)
@@ -216,26 +211,34 @@ def get_plan(hurst: float, T: float, n_coarse: int) -> FracKernelPlan:
     return FracKernelPlan.build(hurst, TimeGrid(T, n_coarse, 0))
 
 
-def rl_integral_left(plan: FracKernelPlan, f: np.ndarray) -> np.ndarray:
-    """I^a_{0+} f at every grid node, along the last axis of f (a (c, N+1)
-    stack is c rows); exact for piecewise-linear f; 0 at t_0."""
+def _samples(plan: FracKernelPlan, f) -> np.ndarray:
+    """f as a float array with N+1 finite samples along its last axis, else InputError."""
     f = np.asarray(f, dtype=float)
     n = plan.grid.n_coarse
-    if f.shape[-1] != n + 1:
-        raise InputError(f"expected {n + 1} samples, got {f.shape[-1]}")
+    if f.shape[-1:] != (n + 1,):
+        raise InputError(f"expected {n + 1} samples along the last axis, got shape {f.shape}")
     if not np.all(np.isfinite(f)):
-        raise InputError("non-finite samples in fractional integral input")
-    if plan.alpha == 0.0:
-        return f.copy()
+        raise InputError("non-finite samples in fractional transform input")
+    return f
+
+
+def _rl_left(plan: FracKernelPlan, f: np.ndarray) -> np.ndarray:
+    """rl_integral_left on samples _samples has checked."""
+    n = plan.grid.n_coarse
     A, C = plan.weights_left
     out = _conv(f, A, n + 1) + _conv(f[..., 1:], C, n + 1)
     out[..., 0] = 0.0
     return out
 
 
+def rl_integral_left(plan: FracKernelPlan, f: np.ndarray) -> np.ndarray:
+    """I^a_{0+} f at every grid node; exact for piecewise-linear f; 0 at t_0."""
+    return _rl_left(plan, _samples(plan, f))
+
+
 def rl_integral_right(plan: FracKernelPlan, f: np.ndarray) -> np.ndarray:
     """I^a_{T-} f at every grid node (right endpoint = horizon); 0 at t_N."""
-    return rl_integral_left(plan, np.asarray(f, dtype=float)[..., ::-1])[..., ::-1]
+    return _rl_left(plan, _samples(plan, f)[..., ::-1])[..., ::-1]
 
 
 def kh_inverse_transform(plan: FracKernelPlan, y: np.ndarray) -> np.ndarray:
@@ -248,24 +251,19 @@ def kh_inverse_transform(plan: FracKernelPlan, y: np.ndarray) -> np.ndarray:
     """
     if plan.hurst is None:
         raise InputError("plan built with for_order() has no Hurst kernel")
-    y = np.asarray(y, dtype=float)
+    dy = np.diff(_samples(plan, y))
     n = plan.grid.n_coarse
-    if y.shape[0] != n + 1:
-        raise InputError(f"expected {n + 1} samples, got {y.shape[0]}")
-    if plan.alpha == 0.0:
-        return y - y[0]
-    dy = np.diff(y)
     head = plan.kernel_matrix
     m = head.shape[1]
-    out = np.empty(n + 1)
-    out[: m + 1] = head @ dy[:m]
-    out[0] = 0.0
+    out = np.empty(dy.shape[:-1] + (n + 1,))
+    out[..., : m + 1] = (head @ dy[..., :m, None])[..., 0]
+    out[..., 0] = 0.0
     tail = plan.kernel_tail
     if tail is not None:
         g = (np.arange(n) + 0.5) ** plan.alpha * dy
-        conv = sp_fft.irfft(sp_fft.rfft(g, tail.fft_len) * tail.spectra, tail.fft_len)
-        inc = np.einsum("pj,pj->j", tail.weights, conv[:, m:n])
-        out[m + 1 :] = out[m] + tail.scale * np.cumsum(inc)
+        conv = sp_fft.irfft(sp_fft.rfft(g, tail.fft_len)[..., None, :] * tail.spectra, tail.fft_len)
+        inc = np.einsum("pj,...pj->...j", tail.weights, conv[..., m:n])
+        out[..., m + 1 :] = out[..., m, None] + tail.scale * np.cumsum(inc, axis=-1)
     return out
 
 
@@ -273,12 +271,11 @@ def q_transform(plan: FracKernelPlan, g: np.ndarray, scale: float = 1.0) -> np.n
     """scale * t^(H-1/2) * I^a_{0+}[ s^a g(s) ](t) at the grid nodes, 0 at t_0.
 
     This is the shared shape of the likelihood field and its parameter
-    derivatives; scale carries the (eps d_H)^-1 prefactor. Like
-    rl_integral_left it acts along the last axis of g.
+    derivatives; scale carries the (eps d_H)^-1 prefactor.
     """
-    g = np.asarray(g, dtype=float)
+    g = _samples(plan, g)
     nodes = plan.grid.coarse_nodes()
-    inner = rl_integral_left(plan, nodes**plan.alpha * g)
+    inner = _rl_left(plan, nodes**plan.alpha * g)
     out = np.empty_like(inner)
     out[..., 0] = 0.0
     out[..., 1:] = scale * nodes[1:] ** (-plan.alpha) * inner[..., 1:]

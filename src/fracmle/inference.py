@@ -83,9 +83,7 @@ class LikelihoodContext:
 
     trajectory: Trajectory
     model: ModelSpec
-    hurst: HurstVector
-    plans: tuple
-    y: np.ndarray  # (N+1, r)
+    plans: tuple  # one Hurst plan per driver component
     z: np.ndarray  # (N+1, r)
     f_path: np.ndarray  # (N+1, r, d), sigma* A^-1 along the path
 
@@ -110,7 +108,7 @@ def _assemble_Y(traj: Trajectory, f: np.ndarray, df: np.ndarray) -> np.ndarray:
     return y
 
 
-def build_Z(y: np.ndarray, hurst: HurstVector, plans) -> np.ndarray:
+def build_Z(y: np.ndarray, plans) -> np.ndarray:
     """Per-component kernel transform of Y; a semimartingale path with Z_0 = 0."""
     z = np.zeros_like(y)
     for i in range(y.shape[1]):
@@ -118,30 +116,24 @@ def build_Z(y: np.ndarray, hurst: HurstVector, plans) -> np.ndarray:
     return z
 
 
-def plans_for(hurst: HurstVector, grid: TimeGrid) -> tuple:
-    return tuple(fraccalc.get_plan(h, grid.T, grid.n_coarse) for h in hurst)
-
-
-def _model_plans(model: ModelSpec, hurst: HurstVector, grid: TimeGrid) -> tuple:
-    """plans_for, once hurst has one index per driver component of the model."""
+def plans_for(model: ModelSpec, hurst: HurstVector, grid: TimeGrid) -> tuple:
+    """The Hurst plan of each driver component; hurst holds one index per component."""
     if len(hurst) != model.r:
         raise InputError(f"hurst has {len(hurst)} components, model drives {model.r}")
-    return plans_for(hurst, grid)
+    return tuple(fraccalc.get_plan(h, grid.T, grid.n_coarse) for h in hurst)
 
 
 def build_context(traj: Trajectory, model: ModelSpec, hurst: HurstVector) -> LikelihoodContext:
     if traj.d != model.d:
         raise InputError(f"trajectory has {traj.d} state columns, model expects {model.d}")
-    plans = _model_plans(model, hurst, traj.grid)
+    plans = plans_for(model, hurst, traj.grid)
     f, df = weighted_path(model, traj.states)
     y = _assemble_Y(traj, f, df)
-    z = build_Z(y, hurst, plans)
+    z = build_Z(y, plans)
     return LikelihoodContext(
         trajectory=traj,
         model=model,
-        hurst=hurst,
         plans=plans,
-        y=y,
         z=z,
         f_path=f,
     )
@@ -152,13 +144,15 @@ def compute_Q(
     model: ModelSpec,
     theta,
     epsilon: float,
-    hurst: HurstVector,
     plans,
     order: int = 0,
     f_path: np.ndarray | None = None,
 ) -> QField:
     """Q^i(t) = (eps d_H)^-1 t^(H-1/2) I^a_{0+}[ s^a (F b(., theta))^i ](t)
     plus theta-derivative fields (b replaced by its theta-gradients).
+
+    plans holds one Hurst plan per driver component; H_i and a = 1/2 - H_i
+    come from plans[i], the one source of the Hurst index.
 
     b and its first `order` (0..2) theta-derivatives form one (N+1, d, c) stack; each
     driver component's nonzero columns take one q_transform call as a (c', N+1) stack,
@@ -184,7 +178,7 @@ def compute_Q(
     for i in range(r):
         live = np.flatnonzero(fb[:, i].any(axis=0))
         if live.size:
-            scale = 1.0 / (epsilon * fraccalc.d_H(hurst.h[i]))
+            scale = 1.0 / (epsilon * fraccalc.d_H(plans[i].hurst))
             q[:, i, live] = fraccalc.q_transform(plans[i], fb[:, i, live].T, scale).T
     parts = np.split(q, [1, 1 + m], axis=2)[: order + 1]  # values, dtheta, dtheta2
     return QField(*(np.ascontiguousarray(p.reshape((n1, r) + (m,) * k)) for k, p in enumerate(parts)))
@@ -207,7 +201,6 @@ def likelihood_parts(ctx: LikelihoodContext, theta, order: int = 2):
         ctx.model,
         theta,
         ctx.trajectory.epsilon,
-        ctx.hurst,
         ctx.plans,
         order=order,
         f_path=ctx.f_path,
@@ -290,6 +283,8 @@ def mle(
     projected Newton with a gradient-ascent fallback on non-concave steps;
     theta-linear models run it on the exact quadratic expansion."""
     model = ctx.model
+    if theta0 is not None:
+        theta0 = model.check_theta(theta0)
     parts = _likelihood_source(ctx)
     starts = _latin_hypercube_starts(model, optimizer.n_starts)
     best = None
@@ -348,7 +343,7 @@ def mle(
     )
     u = None
     if theta0 is not None:
-        u = tuple(((theta_hat - np.asarray(theta0, dtype=float)) / ctx.trajectory.epsilon).tolist())
+        u = tuple(((theta_hat - theta0) / ctx.trajectory.epsilon).tolist())
     return EstimateRecord(
         theta_hat=tuple(theta_hat.tolist()),
         u=u,
@@ -373,9 +368,9 @@ def gamma_matrix(
         raise InputError(f"refine must be a positive integer, got {refine!r}")
     theta0 = model.check_theta(theta0)
     fine_grid = TimeGrid(grid.T, grid.n_coarse * int(refine), 0)
-    plans = _model_plans(model, hurst, fine_grid)
+    plans = plans_for(model, hurst, fine_grid)
     ode = solve_ode(model, theta0, x0, fine_grid)
-    q = compute_Q(ode.states, model, theta0, 1.0, hurst, plans, order=1)
+    q = compute_Q(ode.states, model, theta0, 1.0, plans, order=1)
     w = _trapezoid_weights(fine_grid)
     gam = np.einsum("kij,kil,k->jl", q.dtheta, q.dtheta, w)
     gam = 0.5 * (gam + gam.T)
@@ -390,11 +385,11 @@ def gamma_matrix(
 def y_limit_field(model: ModelSpec, theta, theta0, hurst: HurstVector, ode: Trajectory) -> float:
     """Deterministic likelihood-contrast limit; 0 at theta = theta0 and
     negative wherever the drift difference is visible through the kernel."""
-    plans = _model_plans(model, hurst, ode.grid)
+    plans = plans_for(model, hurst, ode.grid)
     f, _ = weighted_path(model, ode.states)
     qd = (
-        compute_Q(ode.states, model, theta, 1.0, hurst, plans, f_path=f).values
-        - compute_Q(ode.states, model, theta0, 1.0, hurst, plans, f_path=f).values
+        compute_Q(ode.states, model, theta, 1.0, plans, f_path=f).values
+        - compute_Q(ode.states, model, theta0, 1.0, plans, f_path=f).values
     )
     return -0.5 * float(np.einsum("ki,ki,k->", qd, qd, _trapezoid_weights(ode.grid)))
 

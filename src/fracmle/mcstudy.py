@@ -21,6 +21,7 @@ import hashlib
 import json
 import logging
 import multiprocessing
+import operator
 import os
 import time
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
@@ -79,6 +80,11 @@ class StudyConfig:
         if self.theta_domain is not None:
             numeric_box(self.theta_domain)
             object.__setattr__(self, "theta_domain", tuple(map(tuple, self.theta_domain)))
+        for name in ("n_replicates", "seed"):
+            try:
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+            except TypeError:
+                raise InputError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
         if self.n_replicates < 2:
             raise InputError("n_replicates must be at least 2")
         if self.seed < 0:

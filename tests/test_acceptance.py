@@ -188,7 +188,7 @@ def test_criterion_06_likelihood_correctness():
     traj = solve_rde(model, [0.7], 0.1, rp, [0.0])
     ctx = build_context(traj, model, H04)
     rec = mle(ctx, theta0=[0.7])
-    q1 = compute_Q(traj.states, model, [1.0], 0.1, H04, ctx.plans, f_path=ctx.f_path)
+    q1 = compute_Q(traj.states, model, [1.0], 0.1, ctx.plans, f_path=ctx.f_path)
     w = np.full(257, grid.dt)
     w[0] = w[-1] = grid.dt / 2
     s1 = float(q1.values[:-1, 0] @ np.diff(ctx.z[:, 0]))

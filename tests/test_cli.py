@@ -117,7 +117,7 @@ def test_estimate_const_drift_closed_form(tmp_path):
     rp = lift(sample_fbm(hv, grid, 21), grid)
     traj = solve_rde(model, [0.7], 0.1, rp, [0.0])
     ctx = build_context(traj, model, hv)
-    q1 = compute_Q(traj.states, model, [1.0], 0.1, hv, ctx.plans)
+    q1 = compute_Q(traj.states, model, [1.0], 0.1, ctx.plans)
     w = np.full(257, grid.dt)
     w[0] = w[-1] = grid.dt / 2
     s1 = float(q1.values[:-1, 0] @ np.diff(ctx.z[:, 0]))

@@ -16,20 +16,20 @@ from fracmle import (
     lift,
     sample_fbm,
 )
-from fracmle.fbm import _fgn_circulant
+from fracmle.fbm import HURST_HIGH, HURST_LOW, _fgn_circulant, check_hurst
 
 from conftest import sampled_lift
 
 
 def test_hurst_vector_range():
     HurstVector((0.4, 0.45))
-    with pytest.raises(InputError):
-        HurstVector((0.3,))
-    with pytest.raises(InputError):
-        HurstVector((0.5,))
-    assert HurstVector((0.5,), diagnostic=True).r == 1
-    with pytest.raises(InputError):
-        HurstVector((0.6,), diagnostic=True)
+    assert check_hurst(np.float64(0.4)) == 0.4 and type(check_hurst(np.float64(0.4))) is float
+    # one open interval (1/3, 1/2) for check_hurst and HurstVector alike
+    for bad in (0.3, HURST_LOW, HURST_HIGH, 0.6, float("nan"), float("inf")):
+        with pytest.raises(InputError, match="outside"):
+            check_hurst(bad)
+        with pytest.raises(InputError):
+            HurstVector((0.4, bad))
 
 
 def test_grid_validation():
@@ -42,14 +42,6 @@ def test_grid_validation():
     nodes = g.coarse_nodes()
     assert nodes[0] == 0.0 and nodes[-1] == 2.0
     assert np.allclose(np.diff(nodes), g.dt)
-
-
-def test_bm_variance_diagnostic_mode():
-    # H = 1/2 sanity: Var(B_1) = 1
-    hv = HurstVector((0.5,), diagnostic=True)
-    grid = TimeGrid(1.0, 64, 0)
-    vals = [sample_fbm(hv, grid, (1, s))[-1, 0] for s in range(10_000)]
-    assert 0.97 <= np.var(vals, ddof=1) <= 1.03
 
 
 def test_fbm_variance_at_one(h04):

@@ -62,9 +62,10 @@ def _linear_ctx(seed, eps=0.1, n=512):
 def test_build_Y_constant_sigma_exact():
     ctx, _ = _linear_ctx(61)
     traj = ctx.trajectory
+    y = build_Y(traj, LIN)
     expect = (traj.states[:, 0] - traj.states[0, 0]) / traj.epsilon
-    assert np.allclose(ctx.y[:, 0], expect, atol=1e-12)
-    assert ctx.y[0, 0] == 0.0
+    assert np.allclose(y[:, 0], expect, atol=1e-12)
+    assert y[0, 0] == 0.0
 
 
 def test_build_Y_identity_oracle():
@@ -112,8 +113,8 @@ def test_build_Y_correction_term_matters_2d():
 
 
 def test_build_Z_zero():
-    plans = plans_for(H04, TimeGrid(1.0, 64, 0))
-    z = build_Z(np.zeros((65, 1)), H04, plans)
+    plans = plans_for(LIN, H04, TimeGrid(1.0, 64, 0))
+    z = build_Z(np.zeros((65, 1)), plans)
     assert np.all(z == 0.0)
 
 
@@ -139,7 +140,7 @@ def test_build_Z_decomposition_variance():
         rp = sampled_lift(H04, grid, (818, s))
         traj = solve_rde(LIN, TH0, 0.1, rp, X0)
         ctx = build_context(traj, LIN, H04)
-        q = compute_Q(traj.states, LIN, TH0, 0.1, H04, ctx.plans)
+        q = compute_Q(traj.states, LIN, TH0, 0.1, ctx.plans)
         vals.append(ctx.z[-1, 0] - float(q.values[:, 0] @ w))
     assert abs(np.var(vals, ddof=1) - 1.0) <= 0.1
 
@@ -151,8 +152,8 @@ def test_Q_constant_drift_closed_form():
     model = get_model("const1d")
     grid = TimeGrid(1.0, 1024, 0)
     states = np.zeros((grid.n_coarse + 1, 1))
-    plans = plans_for(H04, grid)
-    q = compute_Q(states, model, [1.0], 1.0, H04, plans)
+    plans = plans_for(model, H04, grid)
+    q = compute_Q(states, model, [1.0], 1.0, plans)
     oracle = G(1.1) / G(1.2) / d_H(0.4)
     assert abs(q.values[-1, 0] - oracle) / oracle <= 1e-4
 
@@ -161,7 +162,7 @@ def test_Q_zero_drift():
     model = get_model("zero1d")
     grid = TimeGrid(1.0, 128, 0)
     states = np.ones((129, 1))
-    q = compute_Q(states, model, [1.0], 1.0, H04, plans_for(H04, grid))
+    q = compute_Q(states, model, [1.0], 1.0, plans_for(model, H04, grid))
     assert np.all(q.values == 0.0)
 
 
@@ -170,16 +171,16 @@ def test_Q_linear_in_drift_bit_consistent():
     grid = TimeGrid(1.0, 128, 0)
     rp = sampled_lift(H04, grid, 66)
     traj = solve_rde(LIN, TH0, 0.5, rp, X0)
-    plans = plans_for(H04, grid)
-    q1 = compute_Q(traj.states, LIN, [1.0], 0.5, H04, plans)
-    q2 = compute_Q(traj.states, LIN, [2.0], 0.5, H04, plans)
+    plans = plans_for(LIN, H04, grid)
+    q1 = compute_Q(traj.states, LIN, [1.0], 0.5, plans)
+    q2 = compute_Q(traj.states, LIN, [2.0], 0.5, plans)
     assert np.allclose(q2.values, 2.0 * q1.values, rtol=1e-12, atol=1e-13)
 
 
 def test_Q_starts_at_zero_and_finite():
     ctx, _ = _linear_ctx(67)
     q = compute_Q(
-        ctx.trajectory.states, LIN, TH0, 0.1, H04, ctx.plans, order=2, f_path=ctx.f_path
+        ctx.trajectory.states, LIN, TH0, 0.1, ctx.plans, order=2, f_path=ctx.f_path
     )
     assert q.values[0, 0] == 0.0 and q.dtheta[0, 0, 0] == 0.0
     for arr in (q.values, q.dtheta, q.dtheta2):
@@ -191,10 +192,10 @@ def test_Q_ellipticity_propagates():
     grid = TimeGrid(1.0, 64, 0)
     states = np.zeros((65, 1))  # sigma(0) = 0
     with pytest.raises(EllipticityError):
-        compute_Q(states, model, [1.0], 1.0, H04, plans_for(H04, grid))
+        compute_Q(states, model, [1.0], 1.0, plans_for(model, H04, grid))
 
 
-def _compute_Q_per_column(states, model, theta, epsilon, hurst, plans, order, f_path):
+def _compute_Q_per_column(states, model, theta, epsilon, plans, order, f_path):
     """compute_Q as one q_transform call per (component, column): the oracle of
     the stacked field."""
     from fracmle import fraccalc
@@ -216,7 +217,7 @@ def _compute_Q_per_column(states, model, theta, epsilon, hurst, plans, order, f_
         flat = arr.reshape(n1, model.r, -1)
         res = out.reshape(n1, model.r, -1)
         for i in range(model.r):
-            scale = 1.0 / (epsilon * fraccalc.d_H(hurst.h[i]))
+            scale = 1.0 / (epsilon * fraccalc.d_H(plans[i].hurst))
             for c in range(flat.shape[2]):
                 if flat[:, i, c].any():
                     res[:, i, c] = fraccalc.q_transform(plans[i], flat[:, i, c], scale)
@@ -268,8 +269,8 @@ def test_stacked_Q_matches_per_column_loop(name, order):
     traj = solve_rde(model, th0, 0.1, sampled_lift(hv, grid, 83), x0)
     ctx = build_context(traj, model, hv)
     theta = np.asarray(theta)
-    q = compute_Q(traj.states, model, theta, 0.1, hv, ctx.plans, order=order, f_path=ctx.f_path)
-    oracle = _compute_Q_per_column(traj.states, model, theta, 0.1, hv, ctx.plans, order, ctx.f_path)
+    q = compute_Q(traj.states, model, theta, 0.1, ctx.plans, order=order, f_path=ctx.f_path)
+    oracle = _compute_Q_per_column(traj.states, model, theta, 0.1, ctx.plans, order, ctx.f_path)
     for got, want in zip((q.values, q.dtheta, q.dtheta2), oracle):
         if want is None:
             assert got is None
@@ -337,7 +338,7 @@ def test_loglik_quadratic_identity_const_drift():
     ctx = build_context(traj, model, H04)
     t = 0.8
     w = trapezoid_weights(grid)
-    q1 = compute_Q(traj.states, model, [1.0], 0.1, H04, ctx.plans, f_path=ctx.f_path)
+    q1 = compute_Q(traj.states, model, [1.0], 0.1, ctx.plans, f_path=ctx.f_path)
     s2 = float(np.sum(q1.values[:, 0] ** 2 * w))
     lhs = log_likelihood(ctx, [2 * t]) - 2 * log_likelihood(ctx, [t]) + log_likelihood(ctx, [0.0])
     assert lhs == pytest.approx(-(t**2) * s2, abs=1e-10)
@@ -388,6 +389,13 @@ def test_hessian_2d_model_finite_differences():
 # ---------------------------------------------------------------- mle
 
 
+@pytest.mark.parametrize("theta0", [[1.0, 2.0], [np.nan], [np.inf]], ids=["length", "nan", "inf"])
+def test_mle_checks_theta0(theta0):
+    ctx, _ = _linear_ctx(87, n=64)
+    with pytest.raises(InputError, match="theta"):
+        mle(ctx, theta0=theta0)
+
+
 def test_mle_const_drift_closed_form():
     model = get_model("const1d")
     grid = TimeGrid(1.0, 512, 0)
@@ -395,7 +403,7 @@ def test_mle_const_drift_closed_form():
     traj = solve_rde(model, [0.7], 0.1, rp, [0.0])
     ctx = build_context(traj, model, H04)
     rec = mle(ctx, theta0=[0.7])
-    q1 = compute_Q(traj.states, model, [1.0], 0.1, H04, ctx.plans, f_path=ctx.f_path)
+    q1 = compute_Q(traj.states, model, [1.0], 0.1, ctx.plans, f_path=ctx.f_path)
     dz = np.diff(ctx.z[:, 0])
     w = trapezoid_weights(grid)
     s1 = float(q1.values[:-1, 0] @ dz)

@@ -266,6 +266,18 @@ def test_config_validation():
         _small_cfg(epsilons=())
 
 
+@pytest.mark.parametrize("name, value", [("seed", 1.5), ("seed", "7"), ("n_replicates", 2.5), ("n_replicates", "4")])
+def test_study_config_integer_fields_take_integers_only(name, value):
+    with pytest.raises(InputError, match=name):
+        _small_cfg(**{name: value})
+
+
+def test_study_config_integer_fields_become_python_ints():
+    cfg = _small_cfg(seed=np.int64(7), n_replicates=np.int32(3))
+    assert (cfg.seed, cfg.n_replicates) == (7, 3)
+    assert type(cfg.seed) is int and type(cfg.n_replicates) is int
+
+
 def test_moment_convergence_small():
     # E|u|^2 approaches trace(Gamma^-1) as eps decreases (within MC noise)
     cfg = _small_cfg(
