@@ -30,7 +30,6 @@ from .fraccalc import (
     kh_inverse_transform,
     q_transform,
     rl_integral_left,
-    rl_integral_right,
 )
 from .model import (
     AssumptionReport,

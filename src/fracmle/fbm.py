@@ -16,6 +16,7 @@ import logging
 import math
 import operator
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
@@ -170,12 +171,14 @@ class RoughPath:
         return out
 
 
-def _fgn_circulant(n: int, hurst: float, rng: Generator) -> np.ndarray:
-    """Unit-spacing fractional Gaussian noise by circulant embedding.
+@lru_cache(maxsize=8)
+def _fgn_sqrt_spectrum(n: int, hurst: float) -> np.ndarray:
+    """Square root of the circulant embedding's spectrum, read-only and cached per (n, H).
 
     The embedding is positive semidefinite for H <= 1/2, so its spectrum
     is only clipped at rounding level; a materially negative eigenvalue
-    would mean a broken spectrum and raises ResourceError.
+    would mean a broken spectrum and raises ResourceError (on every call:
+    the cache keeps no failures).
     """
     k = np.arange(n, dtype=float)
     rho = 0.5 * ((k + 1) ** (2 * hurst) + np.abs(k - 1) ** (2 * hurst) - 2 * k ** (2 * hurst))
@@ -183,14 +186,21 @@ def _fgn_circulant(n: int, hurst: float, rng: Generator) -> np.ndarray:
     g = np.fft.fft(c).real
     if g.min() < -1e-10 * max(g.max(), 1.0):
         raise ResourceError(f"circulant embedding not PSD for H={hurst}, n={n}")
-    g = np.clip(g, 0.0, None)
+    root = np.sqrt(np.clip(g, 0.0, None))
+    root.setflags(write=False)
+    return root
+
+
+def _fgn_circulant(n: int, hurst: float, rng: Generator) -> np.ndarray:
+    """Unit-spacing fractional Gaussian noise by circulant embedding."""
+    root = _fgn_sqrt_spectrum(n, hurst)
     z = np.empty(2 * n, dtype=complex)
     z[0] = rng.standard_normal()
     z[n] = rng.standard_normal()
     v = rng.standard_normal((n - 1, 2))
     z[1:n] = (v[:, 0] + 1j * v[:, 1]) / math.sqrt(2.0)
     z[n + 1 :] = np.conj(z[1:n][::-1])
-    return math.sqrt(2 * n) * np.fft.ifft(np.sqrt(g) * z).real[:n]
+    return math.sqrt(2 * n) * np.fft.ifft(root * z).real[:n]
 
 
 def sample_fbm(hurst: HurstVector, grid: TimeGrid, seed) -> np.ndarray:

@@ -2,13 +2,16 @@
 kernel transform that carries fBm-driven observations to a Wiener process.
 
 The weakly singular kernel (t-u)^(alpha-1) is integrated exactly against
-piecewise-linear data (product integration), so the left/right integral
-rules are exact for constant and linear integrands. On a uniform grid the
+piecewise-linear data (product integration), so the integral rules are
+exact for constant and linear integrands. On a uniform grid the
 weights depend only on k-l, which lets the transform run as a discrete
-convolution instead of a dense weight matrix. Every transform
-(rl_integral_left, rl_integral_right, q_transform, kh_inverse_transform)
-takes N+1 finite samples along the last axis of its input: a (c, N+1)
-stack is c independent rows, each bit-identical to its own 1-D call.
+convolution instead of a dense weight matrix. The convolutions run
+through numpy.fft at the smallest 5-smooth length that holds the full
+linear convolution (_next_fast_len), and each plan keeps the spectra of
+its own kernels. Every transform (rl_integral_left, q_transform,
+kh_inverse_transform) takes N+1 finite samples along the last axis of
+its input: a (c, N+1) stack is c independent rows, each bit-identical to
+its own 1-D call.
 
 The observation-to-Wiener transform W_k = sum_{l<k} kappa(t_k, m_l) dY_l
 (Norros, Valkeila & Virtamo, Bernoulli 1999) never forms kappa either.
@@ -33,6 +36,14 @@ at J = KERNEL_HEAD_ROWS = 32 and P = KERNEL_SERIES_ORDER = 10: the
 transform is exact to roundoff. Rows k <= J come from the closed form of
 kappa, so W_J is exact, and W_k = W_J + C sum_{j=J}^{k-1} inc_j costs one
 rfft, one stacked irfft of P + 1 rows and a cumsum per path.
+
+The head rows need Phi(x) = int_0^x v^(a-1)/(1-v) dv for x in (0, 1),
+summed from two geometric series (_phi). For x <= 1/2, expanding
+1/(1-v) gives Phi(x) = sum_n x^(n+a)/(n+a). Above 1/2, expanding
+v^(a-1) = (1-y)^(a-1) around y = 1 - v = 0 gives
+Phi(x) = -ln(1-x) + C - sum_{n>=1} (1-a)_n/n! (1-x)^n/n, with C fixed by
+matching the two series at x = 1/2. Either series has ratio at most 1/2,
+so _PHI_TERMS = 60 terms reach roundoff.
 """
 
 from __future__ import annotations
@@ -42,10 +53,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import fft as sp_fft
-from scipy.special import binom
-from scipy.special import gamma as gamma_fn
-from scipy.special import hyp2f1
+from numpy.polynomial.polynomial import polyval
 
 from .errors import InputError
 from .fbm import HURST_HIGH, HURST_LOW, TimeGrid, check_hurst
@@ -55,6 +63,45 @@ from .fbm import HURST_HIGH, HURST_LOW, TimeGrid, check_hurst
 KERNEL_HEAD_ROWS = 32
 KERNEL_SERIES_ORDER = 10
 _TABLE_GAUSS_NODES = 20
+_PHI_TERMS = 60
+
+
+def _next_fast_len(n: int) -> int:
+    """Smallest 5-smooth integer >= n (2^i 3^j 5^k, a fast numpy.fft length)."""
+    best = 1 << max(n - 1, 0).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _binom_neg(alpha: float) -> np.ndarray:
+    """binom(-alpha, p) for p = 0..KERNEL_SERIES_ORDER by the product recursion."""
+    k = np.arange(KERNEL_SERIES_ORDER)
+    return np.concatenate([[1.0], np.cumprod(-(alpha + k) / (k + 1))])
+
+
+def _phi(x: np.ndarray, alpha: float) -> np.ndarray:
+    """Phi(x) = int_0^x v^(alpha-1)/(1-v) dv for x in (0, 1) (see the module docstring)."""
+    n = np.arange(_PHI_TERMS)
+    m = n[1:]
+    low_coef = 1.0 / (n + alpha)
+    high_coef = np.concatenate([[0.0], np.cumprod((m - alpha) / m) / m])  # (1-a)_n / n! / n
+
+    def low(v):
+        return v**alpha * polyval(v, low_coef)
+
+    const = low(0.5) + math.log(0.5) + polyval(0.5, high_coef)
+    x = np.asarray(x, dtype=float)
+    upper = x > 0.5
+    out = low(np.where(upper, 0.5, x))
+    y = 1.0 - x[upper]
+    out[upper] = -np.log(y) + const - polyval(y, high_coef)
+    return out
 
 
 def d_H(hurst: float) -> float:
@@ -62,14 +109,14 @@ def d_H(hurst: float) -> float:
     if not HURST_LOW < hurst <= HURST_HIGH:
         raise InputError(f"Hurst index {hurst} outside (1/3, 1/2]")
     return math.sqrt(
-        2.0 * hurst * gamma_fn(1.5 - hurst) * gamma_fn(hurst + 0.5) / gamma_fn(2.0 - 2.0 * hurst)
+        2.0 * hurst * math.gamma(1.5 - hurst) * math.gamma(hurst + 0.5) / math.gamma(2.0 - 2.0 * hurst)
     )
 
 
 def gamma_H(hurst: float) -> float:
     """Score-scaling constant (d_H * G(1/2-H))^-2 for H in (1/3, 1/2)."""
     hurst = check_hurst(hurst)
-    return (d_H(hurst) * gamma_fn(0.5 - hurst)) ** -2.0
+    return (d_H(hurst) * math.gamma(0.5 - hurst)) ** -2.0
 
 
 def _pi_kernels(alpha: float, n: int, dt: float):
@@ -85,7 +132,7 @@ def _pi_kernels(alpha: float, n: int, dt: float):
     pa, pb = a**alpha, b**alpha
     m0 = (pb - pa) / alpha
     m1 = b * m0 - (b * pb - a * pa) / (alpha + 1.0)
-    ga = gamma_fn(alpha)
+    ga = math.gamma(alpha)
     A = (m0 - m1 / dt) / ga
     C = m1 / (dt * ga)
     A[0] = 0.0
@@ -93,9 +140,21 @@ def _pi_kernels(alpha: float, n: int, dt: float):
     return A, C
 
 
-def _conv(f: np.ndarray, kernel: np.ndarray, out_len: int) -> np.ndarray:
-    size = sp_fft.next_fast_len(f.shape[-1] + len(kernel) - 1, real=True)
-    return sp_fft.irfft(sp_fft.rfft(f, size) * sp_fft.rfft(kernel, size), size)[..., :out_len]
+def _kernel_spectra(A: np.ndarray, C: np.ndarray) -> tuple:
+    """(size, rfft) of A and of C at the lengths _rl_left convolves them with
+    N+1 and N samples: the smallest 5-smooth lengths >= 2N+1 and >= 2N."""
+    n = len(A) - 1
+    out = []
+    for kernel, size in ((A, _next_fast_len(2 * n + 1)), (C, _next_fast_len(2 * n))):
+        spectrum = np.fft.rfft(kernel, size)
+        spectrum.setflags(write=False)
+        out.append((size, spectrum))
+    return tuple(out)
+
+
+def _conv(f: np.ndarray, kernel_spectrum: tuple, out_len: int) -> np.ndarray:
+    size, spectrum = kernel_spectrum
+    return np.fft.irfft(np.fft.rfft(f, size) * spectrum, size)[..., :out_len]
 
 
 def _lower_triangular_kernel(hurst: float, dt: float, rows: int) -> np.ndarray:
@@ -104,15 +163,14 @@ def _lower_triangular_kernel(hurst: float, dt: float, rows: int) -> np.ndarray:
     The (rows, rows - 1) block of the kernel matrix, in closed form:
     kappa(t, s) = d_H^-1 s^a I^a_{t-}[y^{-a}](s) with a = 1/2 - H equals
     d_H^-1 s^a Phi(x) / Gamma(a), where x = (t-s)/t and
-    Phi(x) = int_0^x v^(a-1)/(1-v) dv = x^a/a * 2F1(1, a; 1+a; x).
+    Phi(x) = int_0^x v^(a-1)/(1-v) dv (_phi).
     """
     alpha = 0.5 - hurst
     kk, ll = np.tril_indices(rows, k=-1)
     mids = (ll + 0.5) * dt
     x = 1.0 - (ll + 0.5) / kk
-    phi = x**alpha / alpha * hyp2f1(1.0, alpha, 1.0 + alpha, x)
     out = np.zeros((rows, rows - 1))
-    out[kk, ll] = mids**alpha * phi / (d_H(hurst) * gamma_fn(alpha))
+    out[kk, ll] = mids**alpha * _phi(x, alpha) / (d_H(hurst) * math.gamma(alpha))
     return out
 
 
@@ -147,11 +205,11 @@ class KernelTail:
     def build(hurst: float, grid: TimeGrid) -> "KernelTail":
         alpha = 0.5 - hurst
         n = grid.n_coarse
-        fft_len = sp_fft.next_fast_len(2 * n - 1, real=True)
-        spectra = sp_fft.rfft(_series_tables(alpha, n), fft_len)
+        fft_len = _next_fast_len(2 * n - 1)
+        spectra = np.fft.rfft(_series_tables(alpha, n), fft_len)
         p = np.arange(KERNEL_SERIES_ORDER + 1)[:, None]
-        weights = binom(-alpha, p) * (np.arange(KERNEL_HEAD_ROWS, n) + 0.5) ** (-alpha - p)
-        scale = grid.dt**alpha / (d_H(hurst) * gamma_fn(alpha))
+        weights = _binom_neg(alpha)[:, None] * (np.arange(KERNEL_HEAD_ROWS, n) + 0.5) ** (-alpha - p)
+        scale = grid.dt**alpha / (d_H(hurst) * math.gamma(alpha))
         for arr in (spectra, weights):
             arr.setflags(write=False)
         return KernelTail(spectra, fft_len, weights, scale)
@@ -161,15 +219,18 @@ class KernelTail:
 class FracKernelPlan:
     """Precomputed quadrature data for one integral order on one grid.
 
-    weights_left/weights_right hold the Toeplitz generators (A, C) of the
-    product-integration weights w_{k,l} for I^a_{0+} and I^a_{T-} (the
-    dense matrix is never materialized; row sums are checked through the
-    rules' action on f == 1). Plans built from a Hurst index H in
-    (1/3, 1/2) have order a = 1/2 - H and also carry the
+    weights_left holds the Toeplitz generators (A, C) of the
+    product-integration weights w_{k,l} for I^a_{0+} (the dense matrix is
+    never materialized; row sums are checked through the rule's action on
+    f == 1), and spectra_left the (size, rfft) pairs of A and C that
+    rl_integral_left and q_transform multiply with. weights_right is the
+    same pair, the generators of the mirrored rule for I^a_{T-}; no
+    transform reads it. Plans built from a Hurst index H in (1/3, 1/2)
+    have order a = 1/2 - H and also carry the
     observation-to-Wiener kernel kappa(t_k, m_l), which is never formed
     whole: kernel_matrix holds rows k <= J of kappa (all of it when n <= J),
     and kernel_tail the series for the rows after J (J = 32 and P = 10, see
-    the module docstring). Together they keep about 1 MB at n = 4096. Plans
+    the module docstring). A plan at n = 4096 keeps about 1.2 MB. Plans
     from for_order have neither (hurst, kernel_matrix and kernel_tail are
     None).
     """
@@ -179,6 +240,7 @@ class FracKernelPlan:
     alpha: float
     weights_left: tuple
     weights_right: tuple
+    spectra_left: tuple
     kernel_matrix: np.ndarray | None
     kernel_tail: KernelTail | None = None
 
@@ -190,7 +252,7 @@ class FracKernelPlan:
         A, C = _pi_kernels(alpha, grid.n_coarse, grid.dt)
         for arr in (A, C):
             arr.setflags(write=False)
-        return FracKernelPlan(None, grid, alpha, (A, C), (A, C), None)
+        return FracKernelPlan(None, grid, alpha, (A, C), (A, C), _kernel_spectra(A, C), None)
 
     @staticmethod
     def build(hurst: float, grid: TimeGrid) -> "FracKernelPlan":
@@ -202,7 +264,7 @@ class FracKernelPlan:
         tail = KernelTail.build(hurst, grid) if n > KERNEL_HEAD_ROWS else None
         for arr in (A, C, head):
             arr.setflags(write=False)
-        return FracKernelPlan(hurst, grid, alpha, (A, C), (A, C), head, tail)
+        return FracKernelPlan(hurst, grid, alpha, (A, C), (A, C), _kernel_spectra(A, C), head, tail)
 
 
 @lru_cache(maxsize=32)
@@ -225,7 +287,7 @@ def _samples(plan: FracKernelPlan, f) -> np.ndarray:
 def _rl_left(plan: FracKernelPlan, f: np.ndarray) -> np.ndarray:
     """rl_integral_left on samples _samples has checked."""
     n = plan.grid.n_coarse
-    A, C = plan.weights_left
+    A, C = plan.spectra_left
     out = _conv(f, A, n + 1) + _conv(f[..., 1:], C, n + 1)
     out[..., 0] = 0.0
     return out
@@ -234,11 +296,6 @@ def _rl_left(plan: FracKernelPlan, f: np.ndarray) -> np.ndarray:
 def rl_integral_left(plan: FracKernelPlan, f: np.ndarray) -> np.ndarray:
     """I^a_{0+} f at every grid node; exact for piecewise-linear f; 0 at t_0."""
     return _rl_left(plan, _samples(plan, f))
-
-
-def rl_integral_right(plan: FracKernelPlan, f: np.ndarray) -> np.ndarray:
-    """I^a_{T-} f at every grid node (right endpoint = horizon); 0 at t_N."""
-    return _rl_left(plan, _samples(plan, f)[..., ::-1])[..., ::-1]
 
 
 def kh_inverse_transform(plan: FracKernelPlan, y: np.ndarray) -> np.ndarray:
@@ -261,7 +318,7 @@ def kh_inverse_transform(plan: FracKernelPlan, y: np.ndarray) -> np.ndarray:
     tail = plan.kernel_tail
     if tail is not None:
         g = (np.arange(n) + 0.5) ** plan.alpha * dy
-        conv = sp_fft.irfft(sp_fft.rfft(g, tail.fft_len)[..., None, :] * tail.spectra, tail.fft_len)
+        conv = np.fft.irfft(np.fft.rfft(g, tail.fft_len)[..., None, :] * tail.spectra, tail.fft_len)
         inc = np.einsum("pj,...pj->...j", tail.weights, conv[..., m:n])
         out[..., m + 1 :] = out[..., m, None] + tail.scale * np.cumsum(inc, axis=-1)
     return out

@@ -151,8 +151,9 @@ def compute_Q(
     """Q^i(t) = (eps d_H)^-1 t^(H-1/2) I^a_{0+}[ s^a (F b(., theta))^i ](t)
     plus theta-derivative fields (b replaced by its theta-gradients).
 
-    plans holds one Hurst plan per driver component; H_i and a = 1/2 - H_i
-    come from plans[i], the one source of the Hurst index.
+    plans holds one Hurst plan per driver component on the states' grid,
+    else InputError; H_i and a = 1/2 - H_i come from plans[i], the one
+    source of the Hurst index.
 
     b and its first `order` (0..2) theta-derivatives form one (N+1, d, c) stack; each
     driver component's nonzero columns take one q_transform call as a (c', N+1) stack,
@@ -162,6 +163,11 @@ def compute_Q(
         raise InputError(f"derivative order must be 0, 1 or 2, got {order!r}")
     theta = model.check_theta(theta)
     n1, d, m, r = states.shape[0], model.d, model.m, model.r
+    if not (isinstance(plans, (tuple, list)) and len(plans) == r) or not all(
+        isinstance(p, fraccalc.FracKernelPlan) and p.hurst is not None and p.grid.n_coarse == n1 - 1
+        for p in plans
+    ):
+        raise InputError(f"compute_Q needs {r} Hurst plans (FracKernelPlan.build) on a {n1 - 1}-step grid")
     if f_path is None:
         f_path, _ = weighted_path(model, states)
     cols = [

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.random import Generator, Philox
+from numpy.random import Generator, Philox, SeedSequence
 from scipy.stats import linregress
 
 from fracmle import (
@@ -16,7 +16,7 @@ from fracmle import (
     lift,
     sample_fbm,
 )
-from fracmle.fbm import HURST_HIGH, HURST_LOW, _fgn_circulant, check_hurst
+from fracmle.fbm import HURST_HIGH, HURST_LOW, _fgn_circulant, _fgn_sqrt_spectrum, check_hurst
 
 from conftest import sampled_lift
 
@@ -98,9 +98,40 @@ def test_negative_spectrum_raises(monkeypatch, h04):
         g[1] = -1.0
         return g
 
+    # the spectrum is cached per (n, H), so start from an empty cache; a failed
+    # spectrum is never cached, so every call raises
+    _fgn_sqrt_spectrum.cache_clear()
     monkeypatch.setattr(np.fft, "fft", negative_spectrum)
-    with pytest.raises(ResourceError):
-        sample_fbm(h04, TimeGrid(1.0, 16, 0), 5)
+    for _ in range(2):
+        with pytest.raises(ResourceError):
+            sample_fbm(h04, TimeGrid(1.0, 16, 0), 5)
+
+
+def _sample_fbm_uncached(hurst, grid, seed):
+    """sample_fbm with the circulant spectrum computed on every call, as before the cache."""
+    n, path = grid.n_fine, np.zeros((grid.n_fine + 1, hurst.r))
+    for i, h in enumerate(hurst):
+        rng = Generator(Philox(SeedSequence(entropy=seed, spawn_key=(i,))))
+        k = np.arange(n, dtype=float)
+        rho = 0.5 * ((k + 1) ** (2 * h) + np.abs(k - 1) ** (2 * h) - 2 * k ** (2 * h))
+        g = np.clip(np.fft.fft(np.concatenate([rho, [0.0], rho[:0:-1]])).real, 0.0, None)
+        z = np.empty(2 * n, dtype=complex)
+        z[0] = rng.standard_normal()
+        z[n] = rng.standard_normal()
+        v = rng.standard_normal((n - 1, 2))
+        z[1:n] = (v[:, 0] + 1j * v[:, 1]) / np.sqrt(2.0)
+        z[n + 1 :] = np.conj(z[1:n][::-1])
+        path[1:, i] = np.cumsum(np.sqrt(2 * n) * np.fft.ifft(np.sqrt(g) * z).real[:n]) * grid.dt_fine**h
+    return path
+
+
+@pytest.mark.parametrize("n, level", [(2, 0), (64, 3), (1000, 0)])
+def test_cached_spectrum_changes_no_bit(n, level):
+    hv, grid = HurstVector((0.4, 0.45)), TimeGrid(1.0, n, level)
+    want = _sample_fbm_uncached(hv, grid, (9, n))
+    for _ in range(2):  # cold, then warm cache
+        assert np.array_equal(sample_fbm(hv, grid, (9, n)), want)
+    assert not _fgn_sqrt_spectrum(grid.n_fine, 0.4).flags.writeable
 
 
 def test_lift_smooth_path_area():

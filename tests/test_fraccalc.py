@@ -1,10 +1,13 @@
 import dataclasses
+import math
 
 import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import fft as sp_fft
+from scipy.special import binom, hyp2f1
 from scipy.special import gamma as G
 
 from fracmle import (
@@ -17,11 +20,17 @@ from fracmle import (
     kh_inverse_transform,
     q_transform,
     rl_integral_left,
-    rl_integral_right,
     sample_fbm,
 )
 from fracmle.fbm import HurstVector
-from fracmle.fraccalc import KERNEL_HEAD_ROWS, _lower_triangular_kernel
+from fracmle.fraccalc import (
+    KERNEL_HEAD_ROWS,
+    KERNEL_SERIES_ORDER,
+    _binom_neg,
+    _lower_triangular_kernel,
+    _next_fast_len,
+    _phi,
+)
 
 mp.mp.dps = 40
 
@@ -89,19 +98,6 @@ def test_row_sums_exact_on_ones():
         nodes = plan.grid.coarse_nodes()
         left = rl_integral_left(plan, np.ones(n + 1))
         assert np.max(np.abs(left - nodes**alpha / G(1 + alpha))) <= 1e-10
-        right = rl_integral_right(plan, np.ones(n + 1))
-        assert np.max(np.abs(right - (1.0 - nodes) ** alpha / G(1 + alpha))) <= 1e-10
-
-
-def test_right_integral_mirror():
-    # I^a_{T-}[f](t) equals the left integral of the reversed samples
-    plan = _plan(0.25, 128)
-    rng = np.random.default_rng(6)
-    f = rng.standard_normal(129)
-    out = rl_integral_right(plan, f)
-    assert out[-1] == 0.0
-    mirror = rl_integral_left(plan, f[::-1])[::-1]
-    assert np.array_equal(out, mirror)
 
 
 def test_d_H_at_half_exact():
@@ -298,7 +294,7 @@ def test_stacked_rows_match_1d_calls(data):
     # the plan is a plain fractional order or a Hurst plan, which adds the kernel transform
     n = data.draw(st.integers(2, 600), label="n")
     grid = TimeGrid(1.0, n, 0)
-    fns = [rl_integral_left, rl_integral_right, lambda p, f: q_transform(p, f, 0.7)]
+    fns = [rl_integral_left, lambda p, f: q_transform(p, f, 0.7)]
     if data.draw(st.booleans(), label="hurst plan"):
         hurst = data.draw(st.sampled_from((0.34, 0.4, 0.45, 0.49)), label="H")
         plan = FracKernelPlan.build(hurst, grid)
@@ -317,3 +313,92 @@ def test_stacked_rows_match_1d_calls(data):
         assert out.shape == stack.shape
         for row, f in zip(out, stack):
             assert np.array_equal(row, fn(plan, f))
+
+
+# ---------------------------------------------------- SciPy oracles of the runtime replacements
+
+
+def test_next_fast_len_matches_scipy():
+    # bound: exact equality with SciPy's real-transform length for every n < 20,001
+    got = [_next_fast_len(n) for n in range(1, 20001)]
+    assert got == [sp_fft.next_fast_len(n, real=True) for n in range(1, 20001)]
+
+
+def _head_x():
+    kk, ll = np.tril_indices(KERNEL_HEAD_ROWS + 1, k=-1)
+    return 1.0 - (ll + 0.5) / kk
+
+
+@pytest.mark.parametrize("hurst", [0.34, 0.4, 0.45, 0.49])
+def test_phi_matches_hyp2f1(hurst):
+    # bound: 1e-13 relative to SciPy's x^a/a 2F1(1, a; 1+a; x) on every x of the kernel head
+    alpha = 0.5 - hurst
+    x = _head_x()
+    oracle = x**alpha / alpha * hyp2f1(1.0, alpha, 1.0 + alpha, x)
+    assert np.max(np.abs(_phi(x, alpha) / oracle - 1.0)) <= 1e-13
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(hurst=st.floats(1.0 / 3.0, 0.5, exclude_min=True, exclude_max=True))
+def test_phi_matches_mpmath_for_drawn_hurst(hurst):
+    # bound: 1e-14 relative to the 40-digit 2F1 on every x of the kernel head (SciPy's
+    # hyp2f1 itself is off by 2e-13 at H = 0.49974 and 6e-12 at H = 0.49999)
+    alpha = mp.mpf(0.5 - hurst)
+    x = _head_x()
+    oracle = [float(mp.mpf(v) ** alpha / alpha * mp.hyp2f1(1, alpha, 1 + alpha, mp.mpf(v))) for v in x]
+    assert np.max(np.abs(_phi(x, 0.5 - hurst) / oracle - 1.0)) <= 1e-14
+
+
+@pytest.mark.parametrize("hurst", [0.34, 0.4, 0.45, 0.49])
+def test_binom_recursion_matches_scipy(hurst):
+    # bound: 1e-13 relative to scipy.special.binom(-a, p), p = 0..P
+    alpha = 0.5 - hurst
+    oracle = binom(-alpha, np.arange(KERNEL_SERIES_ORDER + 1))
+    assert np.max(np.abs(_binom_neg(alpha) / oracle - 1.0)) <= 1e-13
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(hurst=st.floats(1.0 / 3.0, 0.5, exclude_min=True, exclude_max=True))
+def test_binom_recursion_matches_mpmath(hurst):
+    # bound: 1e-14 relative to the 40-digit binomial (SciPy's own error grows as a -> 0)
+    alpha = 0.5 - hurst
+    oracle = [float(mp.binomial(-mp.mpf(alpha), p)) for p in range(KERNEL_SERIES_ORDER + 1)]
+    assert np.max(np.abs(_binom_neg(alpha) / oracle - 1.0)) <= 1e-14
+
+
+def test_math_gamma_matches_scipy():
+    # bound: 1e-15 relative at the arguments d_H, gamma_H and the plans pass:
+    # 1.5 - H, H + 0.5, 2 - 2H and 0.5 - H over the Hurst range, a in (0, 1) for for_order
+    hurst = np.linspace(1.0 / 3.0, 0.5, 202)[1:-1]
+    args = np.concatenate(
+        [1.5 - hurst, hurst + 0.5, 2.0 - 2.0 * hurst, 0.5 - hurst, np.linspace(0.01, 0.99, 99)]
+    )
+    got = np.array([math.gamma(v) for v in args])
+    assert np.max(np.abs(got / G(args) - 1.0)) <= 1e-15
+
+
+def _rl_uncached(plan, f):
+    """rl_integral_left with the kernels transformed on the call, as before plans kept spectra."""
+    n = plan.grid.n_coarse
+
+    def conv(g, kernel):
+        size = _next_fast_len(g.shape[-1] + len(kernel) - 1)
+        return np.fft.irfft(np.fft.rfft(g, size) * np.fft.rfft(kernel, size), size)[..., : n + 1]
+
+    A, C = plan.weights_left
+    out = conv(f, A) + conv(f[..., 1:], C)
+    out[..., 0] = 0.0
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 33, 512, 1000])
+def test_kept_spectra_change_no_bit(n):
+    grid = TimeGrid(1.0, n, 0)
+    f = np.random.default_rng(n).standard_normal((3, n + 1))
+    assert np.array_equal(rl_integral_left(_plan(0.3, n), f), _rl_uncached(_plan(0.3, n), f))
+    plan = FracKernelPlan.build(0.4, grid)
+    assert np.array_equal(rl_integral_left(plan, f), _rl_uncached(plan, f))
+    nodes = grid.coarse_nodes()
+    want = np.zeros_like(f)
+    want[:, 1:] = 0.7 * nodes[1:] ** (-plan.alpha) * _rl_uncached(plan, nodes**plan.alpha * f)[:, 1:]
+    assert np.array_equal(q_transform(plan, f, 0.7), want)

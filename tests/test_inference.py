@@ -35,7 +35,7 @@ from fracmle import (
     verify_transfer_identity,
     y_limit_field,
 )
-from fracmle import inference
+from fracmle import fraccalc, inference
 from fracmle.inference import _latin_hypercube_starts, plans_for
 from fracmle.model import _zeros_theta_derivs, sigma_weighted
 from fracmle.rde import dump_trajectory_csv, load_trajectory_csv
@@ -193,6 +193,24 @@ def test_Q_ellipticity_propagates():
     states = np.zeros((65, 1))  # sigma(0) = 0
     with pytest.raises(EllipticityError):
         compute_Q(states, model, [1.0], 1.0, plans_for(model, H04, grid))
+
+
+def test_Q_checks_its_plans():
+    # one plan per driver component, each a Hurst plan on the states' grid
+    model = get_model("cross2d")
+    grid = TimeGrid(1.0, 64, 2)
+    states = np.ones((65, model.d))
+    hv = HurstVector((0.4, 0.45))
+    assert compute_Q(states, model, [1.0] * model.m, 1.0, plans_for(model, hv, grid)).values.shape == (65, 2)
+    order_plan = fraccalc.FracKernelPlan.for_order(0.1, grid)
+    for bad in (
+        plans_for(LIN, H04, grid),
+        (order_plan, order_plan),
+        plans_for(model, hv, TimeGrid(1.0, 32, 2)),
+        plans_for(model, hv, grid)[0],
+    ):
+        with pytest.raises(InputError, match="Hurst plans"):
+            compute_Q(states, model, [1.0] * model.m, 1.0, bad)
 
 
 def _compute_Q_per_column(states, model, theta, epsilon, plans, order, f_path):
