@@ -453,17 +453,12 @@ def test_probe_section_is_validation_error(tmp_path, linear_config):
 
 def test_cli_import_leaves_out_heavy_scipy_modules(linear_config):
     # module presence, not wall-clock time: SciPy is a test dependency only, so no
-    # scipy module loads on import, in a study (30 successes per epsilon, so it
-    # computes skewness and kurtosis), or in the gamma and estimate commands
+    # scipy module loads on import or in the gamma and estimate commands
     cfg, _ = linear_config
     probe = (
-        "import math, sys, fracmle.cli as cli\n"
-        "from fracmle import StudyConfig, run_study\n"
+        "import sys, fracmle.cli as cli\n"
         "def scipy_loaded(): return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
         "print(scipy_loaded())\n"
-        "s = run_study(StudyConfig(model='linear1d', theta0=(1.0,), x0=(1.0,), hurst=(0.4,), "
-        "epsilons=(0.1,), n_replicates=30, n_coarse=64, seed=3, n_jobs=1)).per_eps[0]\n"
-        "print(s.n_ok, math.isfinite(s.skewness[0]), scipy_loaded())\n"
         f"codes = [cli.main([cmd, '--config', {str(cfg)!r}, '--seed', '1'])\n"
         "         for cmd in ('gamma', 'estimate')]\n"
         "print(codes, scipy_loaded())\n"
@@ -471,8 +466,21 @@ def test_cli_import_leaves_out_heavy_scipy_modules(linear_config):
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
     lines = out.stdout.strip().split("\n")
     assert lines[0] == "[]"
-    assert lines[1] == "30 True []"
     assert lines[-1] == "[0, 0] []"
+
+
+def test_study_leaves_out_scipy_stats():
+    # 30 successes per epsilon, so the study computes skewness and kurtosis; no
+    # scipy module at all may load for them
+    probe = (
+        "import math, sys; from fracmle import StudyConfig, run_study; "
+        "s = run_study(StudyConfig(model='linear1d', theta0=(1.0,), x0=(1.0,), hurst=(0.4,), "
+        "epsilons=(0.1,), n_replicates=30, n_coarse=64, seed=3, n_jobs=1)).per_eps[0]; "
+        "print(s.n_ok, math.isfinite(s.skewness[0]), "
+        "any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["30", "True", "False"]
 
 
 @pytest.mark.parametrize("kind", ["two_columns", "t_only", "nan", "ragged", "text"])
