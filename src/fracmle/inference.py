@@ -15,6 +15,7 @@ transform with eps = 1.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -26,6 +27,11 @@ from .errors import InputError, OptimizationError
 from .fbm import HurstVector, RoughPath, TimeGrid, complete_area
 from .model import ModelSpec, eval_path, weighted_path
 from .rde import Trajectory, solve_ode
+
+# the exact box solve checks 3^m faces; above this m, theta-linear models take Newton
+EXACT_SOLVE_MAX_M = 3
+# H counts as negative definite when every eigenvalue is below -rtol * max |eigenvalue|
+NEGATIVE_DEFINITE_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -56,6 +62,7 @@ class EstimateRecord:
     boundary_flag: bool
     iterations: int
     loglik: float
+    score: tuple | None = None  # grad loglik at theta0; not in the estimate JSON
 
     def to_json_dict(self) -> dict:
         return {
@@ -258,40 +265,59 @@ def _projected_gradient(model: ModelSpec, theta, grad, tol=1e-12):
     return g
 
 
-def _likelihood_source(ctx: LikelihoodContext):
-    """(theta, order) -> (loglik, score, hessian) for the optimizer.
+@dataclass(frozen=True)
+class _Quadratic:
+    """l(c) + g.(theta - c) + 1/2 (theta - c)' H (theta - c): a theta-linear model's
+    log-likelihood, exact everywhere, from one order-2 evaluation at the box centre c."""
 
-    A theta-linear model's log-likelihood is exactly quadratic in theta,
-    so one order-2 evaluation at the centre a of the box gives it
-    everywhere: l(a) + g.(theta - a) + 1/2 (theta - a)' H (theta - a).
-    Other models get fresh evaluations at the requested order.
+    centre: np.ndarray
+    ll: float
+    grad: np.ndarray
+    hess: np.ndarray
+
+    def __call__(self, theta, order):
+        step = theta - self.centre
+        h_step = self.hess @ step
+        return self.ll + float(self.grad @ step) + 0.5 * float(step @ h_step), self.grad + h_step, self.hess
+
+
+def _box_maximizer(model: ModelSpec, quad: _Quadratic):
+    """(theta, loglik) maximizing a strictly concave quadratic over the box, or None
+    when H is not negative definite or m > EXACT_SOLVE_MAX_M.
+
+    The maximizer lies in the relative interior of one face of the box (the box
+    itself, an edge, a corner, ...), where it is the stationary point of the
+    quadratic restricted to that face: coordinates at a bound stay there, the free
+    ones solve their block of H. Every face's stationary point, clamped into the
+    box, is feasible, so the best of the 3^m of them is the maximizer (the
+    active-set view of a box-constrained QP; Nocedal & Wright, ch. 16).
     """
-    if not ctx.model.theta_linear:
-        return lambda theta, order: likelihood_parts(ctx, theta, order=order)
-    centre = ctx.model.theta_domain.mean(axis=1)
-    ll_c, grad_c, hess_c = likelihood_parts(ctx, centre, order=2)
+    m = model.m
+    eigs = np.linalg.eigvalsh(quad.hess)
+    if m > EXACT_SOLVE_MAX_M or not eigs[-1] < -NEGATIVE_DEFINITE_RTOL * abs(eigs[0]):
+        return None
+    theta = quad.centre - np.linalg.solve(quad.hess, quad.grad)
+    if model.contains_theta(theta):
+        return theta, quad(theta, 0)[0]
+    best = None
+    for face in itertools.product((None, 0, 1), repeat=m):  # free, at lo, at hi
+        fixed = np.array([k is not None for k in face])
+        free = ~fixed
+        theta = quad.centre.copy()
+        theta[fixed] = [model.theta_domain[j, k] for j, k in enumerate(face) if k is not None]
+        if free.any():
+            rhs = quad.grad[free] + quad.hess[np.ix_(free, fixed)] @ (theta[fixed] - quad.centre[fixed])
+            theta[free] -= np.linalg.solve(quad.hess[np.ix_(free, free)], rhs)
+        theta = model.clamp_theta(theta)
+        ll = quad(theta, 0)[0]
+        if best is None or ll > best[1]:
+            best = (theta, ll)
+    return best
 
-    def expansion(theta, order):
-        step = theta - centre
-        h_step = hess_c @ step
-        ll = ll_c + float(grad_c @ step) + 0.5 * float(step @ h_step)
-        return ll, grad_c + h_step, hess_c
 
-    return expansion
-
-
-def mle(
-    ctx: LikelihoodContext,
-    optimizer: OptimizerConfig = OptimizerConfig(),
-    theta0=None,
-) -> EstimateRecord:
-    """Maximize the log-likelihood over the closed box by multi-start
-    projected Newton with a gradient-ascent fallback on non-concave steps;
-    theta-linear models run it on the exact quadratic expansion."""
-    model = ctx.model
-    if theta0 is not None:
-        theta0 = model.check_theta(theta0)
-    parts = _likelihood_source(ctx)
+def _projected_newton(model: ModelSpec, parts, optimizer: OptimizerConfig) -> tuple:
+    """(theta, loglik, iterations) of the best converged start; OptimizationError
+    with every start's final state when none converges."""
     starts = _latin_hypercube_starts(model, optimizer.n_starts)
     best = None
     diagnostics = []
@@ -338,18 +364,47 @@ def mle(
                 "iters": iters,
             }
         )
-        if converged and (best is None or ll > best[0]):
-            best = (ll, theta.copy(), iters)
+        if converged and (best is None or ll > best[1]):
+            best = (theta.copy(), ll, iters)
     if best is None:
         raise OptimizationError("no optimizer start converged", diagnostics=diagnostics)
-    ll, theta_hat, iters = best
+    return best
+
+
+def mle(
+    ctx: LikelihoodContext,
+    optimizer: OptimizerConfig = OptimizerConfig(),
+    theta0=None,
+) -> EstimateRecord:
+    """Maximize the log-likelihood over the closed box.
+
+    A theta-linear model's log-likelihood is the exact quadratic of one order-2
+    evaluation at the box centre; when its Hessian is negative definite and
+    m <= EXACT_SOLVE_MAX_M, the box maximizer is solved for exactly (one
+    iteration). Otherwise multi-start projected Newton with a gradient-ascent
+    fallback on non-concave steps runs, on that quadratic for a theta-linear
+    model and on fresh evaluations for any other. Given theta0, the record
+    also holds u and the score at theta0, the latter from the same quadratic.
+    """
+    model = ctx.model
+    if theta0 is not None:
+        theta0 = model.check_theta(theta0)
+    # parts: (theta, order) -> (loglik, score, hessian)
+    if model.theta_linear:
+        centre = model.theta_domain.mean(axis=1)
+        parts = _Quadratic(centre, *likelihood_parts(ctx, centre, order=2))
+        exact = _box_maximizer(model, parts)
+    else:
+        parts, exact = (lambda theta, order: likelihood_parts(ctx, theta, order=order)), None
+    theta_hat, ll, iters = _projected_newton(model, parts, optimizer) if exact is None else (*exact, 1)
     lo, hi = model.theta_domain[:, 0], model.theta_domain[:, 1]
     boundary = bool(
         np.any(theta_hat - lo <= optimizer.boundary_tol) or np.any(hi - theta_hat <= optimizer.boundary_tol)
     )
-    u = None
+    u = score = None
     if theta0 is not None:
         u = tuple(((theta_hat - theta0) / ctx.trajectory.epsilon).tolist())
+        score = tuple(parts(theta0, 1)[1].tolist())
     return EstimateRecord(
         theta_hat=tuple(theta_hat.tolist()),
         u=u,
@@ -357,6 +412,7 @@ def mle(
         boundary_flag=boundary,
         iterations=iters,
         loglik=float(ll),
+        score=score,
     )
 
 

@@ -41,7 +41,6 @@ from .inference import (
     OptimizerConfig,
     build_context,
     gamma_matrix,
-    likelihood_parts,
     mle,
 )
 from .model import ModelSpec, get_model, numeric_box
@@ -176,8 +175,7 @@ def _finish(cfg: StudyConfig, model: ModelSpec, epsilon: float, replicate_id: in
         try:
             ctx = build_context(outcome, model, cfg.hurst_vector())
             record = mle(ctx, cfg.optimizer, theta0=theta0)
-            _, grad0, _ = likelihood_parts(ctx, theta0, order=1)
-            score = tuple((epsilon * grad0).tolist())
+            score = tuple((epsilon * np.asarray(record.score)).tolist())
             ode = _ode_states(
                 cfg.model, cfg.theta_domain, cfg.theta0, cfg.x0, cfg.T, cfg.n_coarse, cfg.refine_level
             )

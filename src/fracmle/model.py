@@ -13,10 +13,11 @@ draw over its whole state lattice.
 A model whose drift is affine in theta, b(x, theta) = b0(x) + B(x) theta,
 may declare theta_linear=True. Its log-likelihood is then exactly
 quadratic in theta, so the estimator expands it once at the centre of the
-parameter box and optimizes on that expansion instead of re-evaluating
-the likelihood. The declaration is checked on every path the expansion is
-built from: if drift_dtheta[1] is not exactly zero there, the estimator
-raises InputError.
+parameter box and solves that quadratic's box maximizer exactly (Newton
+on the expansion when its Hessian is not negative definite), and the
+score at theta0 comes from the same expansion. The declaration is checked
+on every path the expansion is built from: if drift_dtheta[1] is not
+exactly zero there, the estimator raises InputError.
 """
 
 from __future__ import annotations

@@ -66,6 +66,8 @@ def test_package_calls_of_the_benchmark_keep_their_shapes(tmp_path):
     ctx = inference.build_context(load_trajectory_csv(tmp_path / "path000.csv", grid, doc["epsilon"]), spec, hurst)
     rec = inference.mle(ctx, opt)
     assert rec.converged and np.isfinite(inference.log_likelihood(ctx, [rec.theta_hat[0]]))
+    assert spec.theta_linear and isinstance(rec, inference.EstimateRecord)
+    assert isinstance(rec.iterations, int) and rec.iterations >= 1
 
     # McBench: the study config, its Gamma and an in-process replicate
     cfg = dataclasses.replace(config.study_config_from(doc), n_jobs=1)
@@ -73,6 +75,11 @@ def test_package_calls_of_the_benchmark_keep_their_shapes(tmp_path):
     assert gamma.a5_ok
     res = mcstudy.run_replicate(cfg, cfg.epsilons[1], 1)
     assert not res.failed and res.record is not None
+    mcstudy.run_study(dataclasses.replace(cfg, output_dir=str(tmp_path / "study")))
+    with open(tmp_path / "study" / "records.jsonl") as fh:
+        records = [json.loads(line) for line in fh]
+    read = {"replicate_id", "epsilon", "failed", "u", "theta_hat", "iterations"}
+    assert len(records) == 4 and all(read <= rec.keys() for rec in records)
 
 
 def _callbacks(spec) -> dict:

@@ -485,6 +485,18 @@ def test_study_outputs_independent_of_block_layout(tmp_path, monkeypatch, kw):
     assert len(outputs[0]["records"].splitlines()) == 2 * n_rep
 
 
+def test_theta_linear_study_evaluates_the_likelihood_once_per_path(monkeypatch):
+    # one order-2 evaluation per path gives the estimate and the score at theta0
+    import fracmle.inference as inf
+
+    real = inf.likelihood_parts
+    orders = []
+    monkeypatch.setattr(inf, "likelihood_parts", lambda *a, **kw: orders.append(kw["order"]) or real(*a, **kw))
+    summary = run_study(_small_cfg(epsilons=(0.1, 0.05), n_replicates=6))
+    assert [s.n_ok for s in summary.per_eps] == [6, 6]
+    assert orders == [2] * 12
+
+
 def test_run_replicate_is_its_block_row():
     import fracmle.mcstudy as mc
 
