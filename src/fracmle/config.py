@@ -103,12 +103,16 @@ def _cast_integers(doc: dict, schema: dict) -> None:
             _cast_integers(doc[key], sub)
 
 
+# jsonschema.validate less its per-call check of SCHEMA against the metaschema,
+# which a test makes once
+_VALIDATOR = jsonschema.validators.validator_for(SCHEMA)(SCHEMA)
+
+
 def validate_config(doc: dict) -> dict:
-    try:
-        jsonschema.validate(doc, SCHEMA)
-    except jsonschema.ValidationError as exc:
+    exc = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(doc))
+    if exc is not None:
         path = ".".join(str(p) for p in exc.absolute_path) or "(top level)"
-        raise ConfigError(f"config field {path}: {exc.message}") from None
+        raise ConfigError(f"config field {path}: {exc.message}")
     _cast_integers(doc, SCHEMA)
     return doc
 

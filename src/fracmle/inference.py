@@ -26,7 +26,7 @@ from . import fraccalc
 from .errors import InputError, OptimizationError
 from .fbm import HurstVector, RoughPath, TimeGrid, complete_area
 from .model import ModelSpec, eval_path, weighted_path
-from .rde import Trajectory, solve_ode
+from .rde import Trajectory, _ode_limit_refined
 
 # the exact box solve checks 3^m faces; above this m, theta-linear models take Newton
 EXACT_SOLVE_MAX_M = 3
@@ -255,14 +255,14 @@ def _latin_hypercube_starts(model: ModelSpec, n_starts: int) -> np.ndarray:
     return pts
 
 
-def _projected_gradient(model: ModelSpec, theta, grad, tol=1e-12):
-    g = grad.copy()
+def _binding(model: ModelSpec, theta, grad, tol=1e-12) -> np.ndarray:
+    """The coordinates at a bound whose gradient points out of the box."""
     lo, hi = model.theta_domain[:, 0], model.theta_domain[:, 1]
-    at_lo = theta <= lo + tol
-    at_hi = theta >= hi - tol
-    g[at_lo & (g < 0)] = 0.0
-    g[at_hi & (g > 0)] = 0.0
-    return g
+    return ((theta <= lo + tol) & (grad < 0)) | ((theta >= hi - tol) & (grad > 0))
+
+
+def _projected_gradient(model: ModelSpec, theta, grad, tol=1e-12):
+    return np.where(_binding(model, theta, grad, tol), 0.0, grad)
 
 
 @dataclass(frozen=True)
@@ -279,6 +279,17 @@ class _Quadratic:
         step = theta - self.centre
         h_step = self.hess @ step
         return self.ll + float(self.grad @ step) + 0.5 * float(step @ h_step), self.grad + h_step, self.hess
+
+
+def _face_stationary(quad: _Quadratic, theta, free) -> np.ndarray:
+    """theta with its free coordinates moved to the stationary point of quad restricted
+    to theta's face, the other coordinates held; needs quad's free block nonsingular."""
+    theta = theta.copy()
+    if free.any():
+        fixed = ~free
+        rhs = quad.grad[free] + quad.hess[np.ix_(free, fixed)] @ (theta[fixed] - quad.centre[fixed])
+        theta[free] -= np.linalg.solve(quad.hess[np.ix_(free, free)], rhs)
+    return theta
 
 
 def _box_maximizer(model: ModelSpec, quad: _Quadratic):
@@ -302,17 +313,27 @@ def _box_maximizer(model: ModelSpec, quad: _Quadratic):
     best = None
     for face in itertools.product((None, 0, 1), repeat=m):  # free, at lo, at hi
         fixed = np.array([k is not None for k in face])
-        free = ~fixed
         theta = quad.centre.copy()
         theta[fixed] = [model.theta_domain[j, k] for j, k in enumerate(face) if k is not None]
-        if free.any():
-            rhs = quad.grad[free] + quad.hess[np.ix_(free, fixed)] @ (theta[fixed] - quad.centre[fixed])
-            theta[free] -= np.linalg.solve(quad.hess[np.ix_(free, free)], rhs)
-        theta = model.clamp_theta(theta)
+        theta = model.clamp_theta(_face_stationary(quad, theta, ~fixed))
         ll = quad(theta, 0)[0]
         if best is None or ll > best[1]:
             best = (theta, ll)
     return best
+
+
+def _backtrack(model: ModelSpec, parts, theta, ll, direction, max_backtracks: int):
+    """The first of theta + direction, theta + direction / 2, ..., clamped into the box,
+    whose loglik exceeds ll; None when none of max_backtracks does or one equals theta."""
+    step = 1.0
+    for _ in range(max_backtracks):
+        cand = model.clamp_theta(theta + step * direction)
+        if np.array_equal(cand, theta):
+            return None
+        if parts(cand, 0)[0] > ll:
+            return cand
+        step *= 0.5
+    return None
 
 
 def _projected_newton(model: ModelSpec, parts, optimizer: OptimizerConfig) -> tuple:
@@ -327,33 +348,28 @@ def _projected_newton(model: ModelSpec, parts, optimizer: OptimizerConfig) -> tu
         converged = False
         iters = 0
         for iters in range(1, optimizer.max_iter + 1):
-            gp = _projected_gradient(model, theta, grad)
+            binding = _binding(model, theta, grad)
+            gp = np.where(binding, 0.0, grad)
             if np.linalg.norm(gp) <= optimizer.grad_tol * max(1.0, abs(ll)):
                 converged = True
                 break
-            eig_max = float(np.max(np.linalg.eigvalsh(hess)))
-            if eig_max < -1e-12:
+            newton = float(np.max(np.linalg.eigvalsh(hess))) < -1e-12
+            if newton:
                 direction = np.linalg.solve(hess, -grad)
             else:
-                scale = max(1.0, float(np.max(np.abs(hess))))
-                direction = gp / scale
-            step = 1.0
-            improved = False
-            for _ in range(optimizer.max_backtracks):
-                cand = model.clamp_theta(theta + step * direction)
-                if np.array_equal(cand, theta):
-                    break
-                ll_new = parts(cand, 0)[0]
-                if ll_new > ll:
-                    theta = cand
-                    ll, grad, hess = parts(theta, 2)
-                    improved = True
-                    break
-                step *= 0.5
-            if not improved:
+                direction = gp / max(1.0, float(np.max(np.abs(hess))))
+            cand = _backtrack(model, parts, theta, ll, direction, optimizer.max_backtracks)
+            if cand is None and newton and binding.any():
+                # coupled parameters: the clamped step can make no ascent on the face of
+                # the binding bounds, where the Newton step of the free block does
+                face = _face_stationary(_Quadratic(theta, ll, grad, hess), theta, ~binding)
+                cand = _backtrack(model, parts, theta, ll, face - theta, optimizer.max_backtracks)
+            if cand is None:
                 # no ascent available inside the box: stationary point
                 converged = bool(np.linalg.norm(gp) <= math.sqrt(optimizer.grad_tol))
                 break
+            theta = cand
+            ll, grad, hess = parts(theta, 2)
         diagnostics.append(
             {
                 "start": start.tolist(),
@@ -425,13 +441,17 @@ def gamma_matrix(
     refine: int = 1,
 ) -> GammaMatrix:
     """Asymptotic information matrix: Gamma_jk = sum_i int (dQ_j)^i (dQ_k)^i dt
-    with the deterministic Q field evaluated on the ODE limit path."""
+    with the deterministic Q field evaluated on the ODE limit path.
+
+    The integrals run on a grid refine times finer than grid. The ODE limit is
+    solved on grid's n_coarse steps, the states a study compares its paths with,
+    and carried to the finer grid by RK4's cubic Hermite dense output."""
     if not (isinstance(refine, (int, np.integer)) and refine >= 1):
         raise InputError(f"refine must be a positive integer, got {refine!r}")
     theta0 = model.check_theta(theta0)
     fine_grid = TimeGrid(grid.T, grid.n_coarse * int(refine), 0)
     plans = plans_for(model, hurst, fine_grid)
-    ode = solve_ode(model, theta0, x0, fine_grid)
+    ode = _ode_limit_refined(model, theta0, x0, grid, int(refine))
     q = compute_Q(ode.states, model, theta0, 1.0, plans, order=1)
     w = _trapezoid_weights(fine_grid)
     gam = np.einsum("kij,kil,k->jl", q.dtheta, q.dtheta, w)

@@ -425,6 +425,59 @@ def test_validate_config_casts_every_integer_field(linear_config):
         assert type(value) is int, (section, key)
 
 
+def test_schema_passes_its_metaschema():
+    import jsonschema
+
+    from fracmle.config import SCHEMA
+
+    jsonschema.validators.validator_for(SCHEMA).check_schema(SCHEMA)
+
+
+def _drop(doc, key):
+    return {k: v for k, v in doc.items() if k != key}
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        lambda doc: dict(doc, extra=1),
+        lambda doc: _drop(doc, "grid"),
+        lambda doc: dict(doc, grid={"T": 1.0, "n_coarse": "128"}),
+        lambda doc: dict(doc, grid={"T": 1.0, "n_coarse": 1}),
+        lambda doc: dict(doc, hurst=0.5),
+        lambda doc: dict(doc, hurst=[0.4, 0.6]),
+        lambda doc: dict(doc, epsilon=0),
+        lambda doc: dict(doc, study={"n_replicates": 10}),
+        lambda doc: dict(doc, model={"name": "linear1d", "theta_domain": [[0.1, 1.0, 2.0]]}),
+    ],
+)
+def test_validate_config_error_is_jsonschema_validate_error(linear_config, bad):
+    import jsonschema
+
+    from fracmle import ConfigError
+    from fracmle.config import SCHEMA, validate_config
+
+    doc = bad(linear_config[1])
+    with pytest.raises(jsonschema.ValidationError) as want:
+        jsonschema.validate(doc, SCHEMA)
+    path = ".".join(str(p) for p in want.value.absolute_path) or "(top level)"
+    with pytest.raises(ConfigError) as got:
+        validate_config(doc)
+    assert str(got.value) == f"config field {path}: {want.value.message}"
+
+
+def test_load_config_does_not_check_the_schema(linear_config, monkeypatch):
+    import jsonschema
+
+    from fracmle.config import SCHEMA, load_config
+
+    def check_schema(*args, **kwargs):
+        raise AssertionError("SCHEMA checked again")
+
+    monkeypatch.setattr(jsonschema.validators.validator_for(SCHEMA), "check_schema", check_schema)
+    assert load_config(linear_config[0]) == linear_config[1]
+
+
 def test_missing_config_file():
     res = run_cli("estimate", "--config", "/nonexistent/cfg.json", "--seed", "1")
     assert res.returncode == 2

@@ -557,14 +557,13 @@ def _draw_box_case(name, data):
     return kind, dataclasses.replace(ctx, model=ctx.model.with_domain(box))
 
 
-@pytest.mark.parametrize("name", ["const1d", "cross2d", "linear1d"])
+@pytest.mark.parametrize("name", sorted(_QUAD_CASES))
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_mle_exact_box_solve_matches_newton_oracle(name, data):
     # oracle: the same model declared theta-nonlinear, so projected Newton on fresh
     # evaluations; bounds stated before the run: theta_hat 1e-10 absolute, loglik
-    # 1e-10 relative (1e-10 absolute where it is 0, at a zero drift). affine-ou is
-    # left to the KKT test below: Newton stalls on the faces of its coupled box
+    # 1e-10 relative (1e-10 absolute where it is 0, at a zero drift)
     kind, ctx = _draw_box_case(name, data)
     assert ctx.model.theta_linear
     fast = mle(ctx)
@@ -585,14 +584,21 @@ def test_mle_exact_box_solve_meets_kkt_conditions(name, data):
     # a fresh gradient, to 1e-9 of |H| |theta_hat| (bound stated before the run)
     kind, ctx = _draw_box_case(name, data)
     rec = mle(ctx)
+    _assert_kkt(ctx, rec, 1e-9)
+    assert rec.iterations == 1 and (rec.boundary_flag or kind == "narrowed")
+
+
+def _assert_kkt(ctx, rec, rtol):
+    """The KKT conditions at rec's theta_hat on a fresh evaluation: the gradient
+    vanishes along the free coordinates and points out of the box along the bound
+    ones, to rtol |H| max(1, |theta|)."""
     theta = np.array(rec.theta_hat)
     _, grad, hess = likelihood_parts(ctx, theta, order=2)
-    tol = 1e-9 * np.max(np.abs(hess)) * max(1.0, np.max(np.abs(theta)))
+    tol = rtol * np.max(np.abs(hess)) * max(1.0, np.max(np.abs(theta)))
     lo, hi = ctx.model.theta_domain.T
     at_lo, at_hi = theta == lo, theta == hi
     assert np.all(np.abs(grad[~(at_lo | at_hi)]) <= tol)
     assert np.all(grad[at_lo] <= tol) and np.all(grad[at_hi] >= -tol)
-    assert rec.iterations == 1 and (rec.boundary_flag or kind == "narrowed")
 
 
 @pytest.mark.parametrize("name", ["linear1d", "cross2d", "affine-ou"])
@@ -748,6 +754,35 @@ def test_mle_converges_where_backtracking_steps_are_tiny(rid):
     assert np.linalg.norm(grad) <= OptimizerConfig().grad_tol * abs(rec.loglik)
 
 
+def test_mle_newton_leaves_a_coupled_face():
+    # the maximizer on a face of the box with coupled parameters: the clamped Newton
+    # step makes no ascent there, and the Newton step of the free block does. Each
+    # estimate on a face meets the KKT conditions to the exact solve's bound,
+    # 1e-9 |H| |theta|. An interior one ends where a Newton step's ascent is below the
+    # rounding of loglik, up to 2x that bound on these paths, so it gets 1e-8
+    model = _ou_mean_model().with_domain([[0.1, 0.6], [-3.0, 3.0]])
+    grid = TimeGrid(1.0, 256, 0)
+    on_face = 0
+    for rid in range(40):
+        traj = solve_rde(model, (0.5, 0.5), 0.05, sampled_lift(H04, grid, (2024, rid)), [2.0])
+        ctx = build_context(traj, model, H04)
+        rec = mle(ctx)
+        _assert_kkt(ctx, rec, 1e-9 if rec.boundary_flag else 1e-8)
+        on_face += rec.boundary_flag
+    assert on_face >= 20
+
+
+def test_mle_newton_on_a_coupled_face_reaches_the_exact_solve():
+    # affine-ou declared theta-nonlinear, so projected Newton on fresh evaluations,
+    # against the exact box solve of the same path (bound stated before the run: 1e-8)
+    ctx = _quad_ctx("affine-ou", 0, 0.05)
+    ctx = dataclasses.replace(ctx, model=ctx.model.with_domain([[1.0, 2.0], [0.0, 1.0]]))
+    exact = mle(ctx)
+    newton = mle(dataclasses.replace(ctx, model=dataclasses.replace(ctx.model, theta_linear=False)))
+    assert exact.boundary_flag and newton.iterations > 1
+    assert np.max(np.abs(np.subtract(newton.theta_hat, exact.theta_hat))) <= 1e-8
+
+
 def test_optimization_error_records_each_start_final_state():
     ctx, _ = _linear_ctx(82, n=128)
     ctx = dataclasses.replace(ctx, model=_squared_rate_model())
@@ -821,6 +856,39 @@ def test_gamma_refine_accepts_numpy_integer():
     grid = TimeGrid(1.0, 64, 0)
     got = gamma_matrix(LIN, TH0, H04, grid, X0, refine=np.int64(2))
     assert np.array_equal(got.matrix, gamma_matrix(LIN, TH0, H04, grid, X0, refine=2).matrix)
+
+
+def _gamma_rk4_oracle(model, theta0, hurst, grid, x0, refine):
+    """Gamma with the ODE limit from RK4 on the refine times finer grid itself."""
+    fine = TimeGrid(grid.T, grid.n_coarse * refine, 0)
+    ode = solve_ode(model, theta0, x0, fine)
+    q = compute_Q(ode.states, model, theta0, 1.0, plans_for(model, hurst, fine), order=1)
+    gam = np.einsum("kij,kil,k->jl", q.dtheta, q.dtheta, trapezoid_weights(fine))
+    return 0.5 * (gam + gam.T)
+
+
+_GAMMA_CASES = [
+    (LIN, HurstVector((h,)), (theta,), (1.0,)) for theta in (1.0, 5.0) for h in (0.34, 0.4)
+] + [
+    (get_model("cross2d"), HurstVector((0.4, 0.45)), theta, (1.0, 1.0)) for theta in ((1.0, 2.0), (5.0, 0.1))
+]
+
+
+@pytest.mark.parametrize("refine", [2, 4, 8])
+def test_gamma_dense_output_matches_fine_rk4_oracle(refine):
+    # bound stated before the run: 1e-9 relative to max |Gamma|, at n = 512
+    grid = TimeGrid(1.0, 512, 0)
+    for model, hv, theta0, x0 in _GAMMA_CASES:
+        got = gamma_matrix(model, theta0, hv, grid, x0, refine=refine).matrix
+        want = _gamma_rk4_oracle(model, np.array(theta0), hv, grid, x0, refine)
+        assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+
+def test_gamma_at_refine_one_is_the_rk4_oracle():
+    grid = TimeGrid(1.0, 256, 0)
+    for model, hv, theta0, x0 in _GAMMA_CASES:
+        got = gamma_matrix(model, theta0, hv, grid, x0).matrix
+        assert np.array_equal(got, _gamma_rk4_oracle(model, np.array(theta0), hv, grid, x0, 1))
 
 
 def test_gamma_symmetric():

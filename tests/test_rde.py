@@ -18,7 +18,7 @@ from fracmle import (
     sup_distance,
 )
 from fracmle.model import _UNIT_NOISE, ModelSpec, _zeros_theta_derivs, eval_path
-from fracmle.rde import BLOWUP_GUARD, solve_rde_batch
+from fracmle.rde import BLOWUP_GUARD, _ode_limit_refined, solve_rde_batch
 
 from conftest import edge_cubic_model, sampled_lift
 
@@ -242,6 +242,34 @@ def test_epsilon_zero_is_euler_drift_flow(name, hurst, theta, x0):
         x = states[-1]
         states.append(x + np.asarray(model.drift(x, th), dtype=float) * grid.dt)
     assert np.array_equal(traj.states, np.array(states))
+
+
+def test_rk4_stage_past_guard_is_divergence():
+    # from x0 = 1.5 at theta = 5 the edge-cubic flow passes the guard inside an RK4
+    # step; that step's stage state ends the solve, and the drift never sees it
+    with pytest.raises(DivergenceError, match="ODE flow exceeded blow-up guard at step 4"):
+        solve_ode(edge_cubic_model(), [5.0], [1.5], TimeGrid(1.0, 64, 0))
+
+
+@pytest.mark.parametrize("refine", [1, 2, 4, 8])
+def test_refined_ode_limit_keeps_the_coarse_rk4_nodes(refine):
+    for name, theta, x0 in [("linear1d", [5.0], [1.0]), ("cross2d", [1.0, 2.0], [1.0, 1.0])]:
+        model, grid = get_model(name), TimeGrid(1.0, 64, 1)
+        fine = _ode_limit_refined(model, theta, x0, grid, refine)
+        assert fine.grid == TimeGrid(1.0, 64 * refine, 0)
+        assert np.array_equal(fine.states[::refine], solve_ode(model, theta, x0, grid).states)
+        assert not fine.states.flags.writeable
+
+
+def test_refined_ode_limit_is_fourth_order():
+    # linear1d's limit is x0 e^{-theta t}; the dense output's error over all nodes
+    # falls by about 16 per halving of the coarse step (bound: at least 12)
+    model, theta = get_model("linear1d"), 2.0
+    errors = []
+    for n in (16, 32, 64):
+        fine = _ode_limit_refined(model, [theta], [1.0], TimeGrid(1.0, n, 0), 8)
+        errors.append(np.max(np.abs(fine.states[:, 0] - np.exp(-theta * fine.grid.coarse_nodes()))))
+    assert errors[0] / errors[1] >= 12 and errors[1] / errors[2] >= 12
 
 
 def test_ode_limit_is_epsilon_zero_trajectory():
