@@ -20,7 +20,7 @@ from .errors import ConfigError, FracmleError
 from .fbm import HurstVector, TimeGrid, chen_defect, dump_driver_csv, lift, sample_fbm
 from .inference import build_context, gamma_matrix, mle, verify_transfer_identity
 from .mcstudy import run_study
-from .model import finite_difference_check, get_model, probe_assumptions
+from .model import finite_difference_check, get_model, probe_assumptions, spd_inverse
 from .rde import dump_trajectory_csv, load_trajectory_csv, solve_rde
 
 EXIT_OK = 0
@@ -120,7 +120,7 @@ def cmd_gamma(args) -> int:
         "gamma": gm.matrix.tolist(),
         "min_eigenvalue": gm.min_eigenvalue,
         "a5_ok": gm.a5_ok,
-        "gamma_inv": np.linalg.inv(gm.matrix).tolist() if gm.a5_ok else None,
+        "gamma_inv": spd_inverse(gm.matrix)[0].tolist() if gm.a5_ok else None,
     }
     print(json.dumps(out, sort_keys=True))
     return EXIT_OK

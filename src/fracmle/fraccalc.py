@@ -193,13 +193,15 @@ class KernelTail:
 
     spectra (P+1, fft_len//2 + 1) holds the rfft of T_0..T_P at fft_len;
     weights (P+1, n - J) holds binom(-a, p) (j + 1/2)^(-a-p) for j = J..n-1;
-    scale is C = dt^a / (d_H Gamma(a)).
+    scale is C = dt^a / (d_H Gamma(a)); midpoint_powers (n,) holds
+    (j + 1/2)^a for j = 0..n-1, the factor of g_j = s_j^a dY_j.
     """
 
     spectra: np.ndarray
     fft_len: int
     weights: np.ndarray
     scale: float
+    midpoint_powers: np.ndarray
 
     @staticmethod
     def build(hurst: float, grid: TimeGrid) -> "KernelTail":
@@ -210,9 +212,19 @@ class KernelTail:
         p = np.arange(KERNEL_SERIES_ORDER + 1)[:, None]
         weights = _binom_neg(alpha)[:, None] * (np.arange(KERNEL_HEAD_ROWS, n) + 0.5) ** (-alpha - p)
         scale = grid.dt**alpha / (d_H(hurst) * math.gamma(alpha))
-        for arr in (spectra, weights):
+        midpoint_powers = (np.arange(n) + 0.5) ** alpha
+        for arr in (spectra, weights, midpoint_powers):
             arr.setflags(write=False)
-        return KernelTail(spectra, fft_len, weights, scale)
+        return KernelTail(spectra, fft_len, weights, scale, midpoint_powers)
+
+
+def _node_powers(alpha: float, grid: TimeGrid) -> tuple:
+    """(t_k^alpha for k = 0..N, t_k^-alpha for k = 1..N), read-only."""
+    nodes = grid.coarse_nodes()
+    powers = (nodes**alpha, nodes[1:] ** (-alpha))
+    for arr in powers:
+        arr.setflags(write=False)
+    return powers
 
 
 @dataclass(frozen=True)
@@ -230,9 +242,10 @@ class FracKernelPlan:
     observation-to-Wiener kernel kappa(t_k, m_l), which is never formed
     whole: kernel_matrix holds rows k <= J of kappa (all of it when n <= J),
     and kernel_tail the series for the rows after J (J = 32 and P = 10, see
-    the module docstring). A plan at n = 4096 keeps about 1.2 MB. Plans
-    from for_order have neither (hurst, kernel_matrix and kernel_tail are
-    None).
+    the module docstring). node_powers holds t_k^a at every node and t_k^-a
+    at the nodes after t_0, the factors q_transform applies. A plan at
+    n = 4096 keeps about 1.3 MB. Plans from for_order have no kernel
+    (hurst, kernel_matrix and kernel_tail are None).
     """
 
     hurst: float | None
@@ -241,6 +254,7 @@ class FracKernelPlan:
     weights_left: tuple
     weights_right: tuple
     spectra_left: tuple
+    node_powers: tuple
     kernel_matrix: np.ndarray | None
     kernel_tail: KernelTail | None = None
 
@@ -252,7 +266,9 @@ class FracKernelPlan:
         A, C = _pi_kernels(alpha, grid.n_coarse, grid.dt)
         for arr in (A, C):
             arr.setflags(write=False)
-        return FracKernelPlan(None, grid, alpha, (A, C), (A, C), _kernel_spectra(A, C), None)
+        return FracKernelPlan(
+            None, grid, alpha, (A, C), (A, C), _kernel_spectra(A, C), _node_powers(alpha, grid), None
+        )
 
     @staticmethod
     def build(hurst: float, grid: TimeGrid) -> "FracKernelPlan":
@@ -264,7 +280,9 @@ class FracKernelPlan:
         tail = KernelTail.build(hurst, grid) if n > KERNEL_HEAD_ROWS else None
         for arr in (A, C, head):
             arr.setflags(write=False)
-        return FracKernelPlan(hurst, grid, alpha, (A, C), (A, C), _kernel_spectra(A, C), head, tail)
+        return FracKernelPlan(
+            hurst, grid, alpha, (A, C), (A, C), _kernel_spectra(A, C), _node_powers(alpha, grid), head, tail
+        )
 
 
 @lru_cache(maxsize=32)
@@ -317,7 +335,7 @@ def kh_inverse_transform(plan: FracKernelPlan, y: np.ndarray) -> np.ndarray:
     out[..., 0] = 0.0
     tail = plan.kernel_tail
     if tail is not None:
-        g = (np.arange(n) + 0.5) ** plan.alpha * dy
+        g = tail.midpoint_powers * dy
         conv = np.fft.irfft(np.fft.rfft(g, tail.fft_len)[..., None, :] * tail.spectra, tail.fft_len)
         inc = np.einsum("pj,...pj->...j", tail.weights, conv[..., m:n])
         out[..., m + 1 :] = out[..., m, None] + tail.scale * np.cumsum(inc, axis=-1)
@@ -331,9 +349,9 @@ def q_transform(plan: FracKernelPlan, g: np.ndarray, scale: float = 1.0) -> np.n
     derivatives; scale carries the (eps d_H)^-1 prefactor.
     """
     g = _samples(plan, g)
-    nodes = plan.grid.coarse_nodes()
-    inner = _rl_left(plan, nodes**plan.alpha * g)
+    t_pow, t_neg_pow = plan.node_powers
+    inner = _rl_left(plan, t_pow * g)
     out = np.empty_like(inner)
     out[..., 0] = 0.0
-    out[..., 1:] = scale * nodes[1:] ** (-plan.alpha) * inner[..., 1:]
+    out[..., 1:] = scale * t_neg_pow * inner[..., 1:]
     return out

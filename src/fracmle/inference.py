@@ -16,7 +16,6 @@ transform with eps = 1.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,13 +24,15 @@ from numpy.random import Generator, Philox, SeedSequence
 from . import fraccalc
 from .errors import InputError, OptimizationError
 from .fbm import HurstVector, RoughPath, TimeGrid, complete_area
-from .model import ModelSpec, eval_path, weighted_path
-from .rde import Trajectory, _ode_limit_refined
+from .model import ModelSpec, eval_path, stack_matmul, weighted_path
+from .rde import Trajectory, _ode_limit_refined, solve_ode
 
 # the exact box solve checks 3^m faces; above this m, theta-linear models take Newton
 EXACT_SOLVE_MAX_M = 3
 # H counts as negative definite when every eigenvalue is below -rtol * max |eigenvalue|
 NEGATIVE_DEFINITE_RTOL = 1e-10
+# Newton's fallback shift: mu = lambda_max(H) + rtol * max(1, max |eigenvalue|)
+FALLBACK_SHIFT_RTOL = float(np.sqrt(np.finfo(float).eps))
 
 
 @dataclass(frozen=True)
@@ -107,9 +108,9 @@ def build_Y(traj: Trajectory, model: ModelSpec) -> np.ndarray:
 
 
 def _assemble_Y(traj: Trajectory, f: np.ndarray, df: np.ndarray) -> np.ndarray:
-    dx = np.diff(traj.states, axis=0)
-    lin = np.einsum("kia,ka->ki", f[:-1], dx)
-    quad = 0.5 * np.einsum("kiap,ka,kp->ki", df[:-1], dx, dx)
+    dx = np.diff(traj.states, axis=0)[:, :, None]
+    lin = stack_matmul(f[:-1], dx)[..., 0]
+    quad = 0.5 * stack_matmul(dx[:, None].swapaxes(2, 3), stack_matmul(df[:-1], dx[:, None]))[..., 0, 0]
     y = np.zeros((traj.states.shape[0], f.shape[1]))
     y[1:] = np.cumsum(lin + quad, axis=0) / traj.epsilon
     return y
@@ -186,14 +187,15 @@ def compute_Q(
             f"model {model.name!r} declares theta_linear, but its second "
             "theta-derivative of the drift is nonzero on the path"
         )
-    fb = np.einsum("kia,kac->kic", f_path, np.concatenate(cols, axis=2))
-    q = np.zeros_like(fb)
+    fb = stack_matmul(f_path, np.concatenate(cols, axis=2))
+    live = fb.any(axis=0)
+    q = np.zeros((r, fb.shape[2], n1))  # one row of samples per component and column
     for i in range(r):
-        live = np.flatnonzero(fb[:, i].any(axis=0))
-        if live.size:
+        (cols_i,) = np.nonzero(live[i])
+        if cols_i.size:
             scale = 1.0 / (epsilon * fraccalc.d_H(plans[i].hurst))
-            q[:, i, live] = fraccalc.q_transform(plans[i], fb[:, i, live].T, scale).T
-    parts = np.split(q, [1, 1 + m], axis=2)[: order + 1]  # values, dtheta, dtheta2
+            q[i, cols_i] = fraccalc.q_transform(plans[i], fb[:, i, cols_i].T, scale)
+    parts = np.split(q.transpose(2, 0, 1), [1, 1 + m], axis=2)[: order + 1]  # values, dtheta, dtheta2
     return QField(*(np.ascontiguousarray(p.reshape((n1, r) + (m,) * k)) for k, p in enumerate(parts)))
 
 
@@ -353,11 +355,17 @@ def _projected_newton(model: ModelSpec, parts, optimizer: OptimizerConfig) -> tu
             if np.linalg.norm(gp) <= optimizer.grad_tol * max(1.0, abs(ll)):
                 converged = True
                 break
-            newton = float(np.max(np.linalg.eigvalsh(hess))) < -1e-12
+            eigs = np.linalg.eigvalsh(hess)
+            newton = eigs[-1] < -1e-12
             if newton:
                 direction = np.linalg.solve(hess, -grad)
+                ascent = -hess
             else:
-                direction = gp / max(1.0, float(np.max(np.abs(hess))))
+                # H not negative definite: step along (mu I - H)^-1 gp, mu just above
+                # lambda_max(H), Newton's step on the directions of negative curvature
+                mu = eigs[-1] + FALLBACK_SHIFT_RTOL * max(1.0, float(np.max(np.abs(eigs))))
+                ascent = mu * np.eye(len(gp)) - hess
+                direction = np.linalg.solve(ascent, gp)
             cand = _backtrack(model, parts, theta, ll, direction, optimizer.max_backtracks)
             if cand is None and newton and binding.any():
                 # coupled parameters: the clamped step can make no ascent on the face of
@@ -365,8 +373,11 @@ def _projected_newton(model: ModelSpec, parts, optimizer: OptimizerConfig) -> tu
                 face = _face_stationary(_Quadratic(theta, ll, grad, hess), theta, ~binding)
                 cand = _backtrack(model, parts, theta, ll, face - theta, optimizer.max_backtracks)
             if cand is None:
-                # no ascent available inside the box: stationary point
-                converged = bool(np.linalg.norm(gp) <= math.sqrt(optimizer.grad_tol))
+                # no ascent found inside the box: a stationary point if the ascent the
+                # step promises, the Newton decrement 1/2 gp' (-H)^-1 gp (the shifted
+                # matrix when H is not negative definite), is below loglik's tolerance
+                decrement = 0.5 * float(gp @ np.linalg.solve(ascent, gp))
+                converged = decrement <= optimizer.grad_tol * max(1.0, abs(ll))
                 break
             theta = cand
             ll, grad, hess = parts(theta, 2)
@@ -397,10 +408,11 @@ def mle(
     A theta-linear model's log-likelihood is the exact quadratic of one order-2
     evaluation at the box centre; when its Hessian is negative definite and
     m <= EXACT_SOLVE_MAX_M, the box maximizer is solved for exactly (one
-    iteration). Otherwise multi-start projected Newton with a gradient-ascent
-    fallback on non-concave steps runs, on that quadratic for a theta-linear
-    model and on fresh evaluations for any other. Given theta0, the record
-    also holds u and the score at theta0, the latter from the same quadratic.
+    iteration). Otherwise multi-start projected Newton runs, on that
+    quadratic for a theta-linear model and on fresh evaluations for any
+    other; where H is not negative definite it steps along (mu I - H)^-1 g
+    with mu just above lambda_max(H). Given theta0, the record also holds u
+    and the score at theta0, the latter from the same quadratic.
     """
     model = ctx.model
     if theta0 is not None:
@@ -446,14 +458,17 @@ def gamma_matrix(
     The integrals run on a grid refine times finer than grid. The ODE limit is
     solved on grid's n_coarse steps, the states a study compares its paths with,
     and carried to the finer grid by RK4's cubic Hermite dense output."""
+    return _gamma_from_limit(model, hurst, solve_ode(model, theta0, x0, grid), refine)
+
+
+def _gamma_from_limit(model: ModelSpec, hurst: HurstVector, ode: Trajectory, refine) -> GammaMatrix:
+    """gamma_matrix from the ODE limit ode, solved on the coarse grid."""
     if not (isinstance(refine, (int, np.integer)) and refine >= 1):
         raise InputError(f"refine must be a positive integer, got {refine!r}")
-    theta0 = model.check_theta(theta0)
-    fine_grid = TimeGrid(grid.T, grid.n_coarse * int(refine), 0)
-    plans = plans_for(model, hurst, fine_grid)
-    ode = _ode_limit_refined(model, theta0, x0, grid, int(refine))
-    q = compute_Q(ode.states, model, theta0, 1.0, plans, order=1)
-    w = _trapezoid_weights(fine_grid)
+    fine = _ode_limit_refined(model, ode, int(refine))
+    plans = plans_for(model, hurst, fine.grid)
+    q = compute_Q(fine.states, model, ode.theta_used, 1.0, plans, order=1)
+    w = _trapezoid_weights(fine.grid)
     gam = np.einsum("kij,kil,k->jl", q.dtheta, q.dtheta, w)
     gam = 0.5 * (gam + gam.T)
     eigs = np.linalg.eigvalsh(gam)

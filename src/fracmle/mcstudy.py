@@ -6,12 +6,13 @@ replicate_id, component), so results are independent of the parallel
 execution layout and byte-identical across runs. Studies run in blocks of
 replicate ids: each id's driver is sampled and lifted once and shared by
 every epsilon level, and all (epsilon, id) paths of a block are solved in
-one batched march, with one call of each callback per step. Gamma is
-computed before the blocks inline, and alongside them on a process pool,
-where its failure cancels the blocks not yet started. Failed replicates
-(divergence, optimization failure) are recorded and excluded from the
-moments, never silently dropped; a study with more than 20% failures is
-marked invalid.
+one batched march, with one call of each callback per step. The ODE limit
+is solved once, in the calling process, before any block: the blocks
+compare their paths with it, and Gamma is finished from it, before the
+blocks inline and alongside them on a process pool, where its failure
+cancels the blocks not yet started. Failed replicates (divergence,
+optimization failure) are recorded and excluded from the moments, never
+silently dropped; a study with more than 20% failures is marked invalid.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import os
 import time
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import repeat
 from pathlib import Path
 
@@ -39,11 +39,11 @@ from .inference import (
     EstimateRecord,
     GammaMatrix,
     OptimizerConfig,
+    _gamma_from_limit,
     build_context,
-    gamma_matrix,
     mle,
 )
-from .model import ModelSpec, get_model, numeric_box
+from .model import ModelSpec, get_model, numeric_box, spd_inverse
 from .rde import solve_ode, solve_rde_batch, sup_distance
 
 log = logging.getLogger(__name__)
@@ -158,42 +158,44 @@ class StudySummary:
     valid: bool
 
 
-@lru_cache(maxsize=16)
-def _ode_states(model_name: str, theta_domain, theta0, x0, T, n_coarse, refine_level):
-    spec = get_model(model_name)
-    if theta_domain is not None:
-        spec = spec.with_domain(theta_domain)
-    grid = TimeGrid(T, n_coarse, refine_level)
-    return solve_ode(spec, theta0, np.asarray(x0), grid)
+def _ode_limit(cfg: StudyConfig):
+    """The ODE limit on the replicate grid cfg.grid(), or the FracmleError its solve raised."""
+    try:
+        return solve_ode(cfg.model_spec(), cfg.theta0, np.asarray(cfg.x0), cfg.grid())
+    except FracmleError as exc:
+        return exc
 
 
-def _finish(cfg: StudyConfig, model: ModelSpec, epsilon: float, replicate_id: int, outcome):
+def _finish(cfg: StudyConfig, model: ModelSpec, epsilon: float, replicate_id: int, outcome, ode):
     """Transform, estimate, score and sup-distance of one solved path; outcome is its
-    Trajectory or the error that ended the row before. Every failed row is built here."""
+    Trajectory or the error that ended the row before, ode what _ode_limit returned.
+    Every failed row is built here."""
     if not isinstance(outcome, FracmleError):
         theta0 = np.asarray(cfg.theta0, dtype=float)
         try:
             ctx = build_context(outcome, model, cfg.hurst_vector())
             record = mle(ctx, cfg.optimizer, theta0=theta0)
             score = tuple((epsilon * np.asarray(record.score)).tolist())
-            ode = _ode_states(
-                cfg.model, cfg.theta_domain, cfg.theta0, cfg.x0, cfg.T, cfg.n_coarse, cfg.refine_level
-            )
-            sdist = sup_distance(outcome, ode)
-            return ReplicateResult(replicate_id, float(epsilon), False, None, record, score, sdist)
+            if not isinstance(ode, FracmleError):
+                sdist = sup_distance(outcome, ode)
+                return ReplicateResult(replicate_id, float(epsilon), False, None, record, score, sdist)
+            outcome = ode
         except FracmleError as exc:
             outcome = exc
     reason = f"{type(outcome).__name__}: {outcome}"
     return ReplicateResult(replicate_id, float(epsilon), True, reason, None, None, None)
 
 
-def _run_block(cfg: StudyConfig, epsilons: tuple, ids) -> list:
+def _run_block(cfg: StudyConfig, epsilons: tuple, ids, ode=None) -> list:
     """run_replicate for every (epsilon, id) of a block, epsilon-major.
 
     Each id's driver is sampled and lifted once and drives that id at every
     epsilon; of it only the coarse increments and areas are kept. All paths
     of the block are solved in one batched march, then finished one by one.
+    ode is _ode_limit(cfg), which the block solves itself when it is None.
     """
+    if ode is None:
+        ode = _ode_limit(cfg)
     model, grid = cfg.model_spec(), cfg.grid()
     outcomes = {}  # (epsilon, id) -> the driver's error, the solve's error or the Trajectory
     drivers = []
@@ -210,7 +212,7 @@ def _run_block(cfg: StudyConfig, epsilons: tuple, ids) -> list:
         except FracmleError as exc:
             paths = repeat(exc)
         outcomes.update(zip(zip(epss, rids), paths))
-    return [_finish(cfg, model, eps, rid, outcomes[eps, rid]) for eps in epsilons for rid in ids]
+    return [_finish(cfg, model, eps, rid, outcomes[eps, rid], ode) for eps in epsilons for rid in ids]
 
 
 def run_replicate(cfg: StudyConfig, epsilon: float, replicate_id: int) -> ReplicateResult:
@@ -295,31 +297,24 @@ def summarize_epsilon(
     )
 
 
-def _study_gamma(cfg: StudyConfig) -> GammaMatrix:
-    return gamma_matrix(
-        cfg.model_spec(),
-        np.asarray(cfg.theta0),
-        cfg.hurst_vector(),
-        cfg.grid(),
-        np.asarray(cfg.x0),
-        refine=cfg.gamma_refine,
-    )
-
-
 def _pool_context():
     """fork where the platform has it: forked workers inherit the models added with
     register, which workers that re-import fracmle (spawn, forkserver) would lack."""
     return multiprocessing.get_context("fork") if "fork" in multiprocessing.get_all_start_methods() else None
 
 
-def _gamma_and_results(cfg: StudyConfig, epsilons: tuple, blocks: list, jobs: int) -> tuple:
+def _gamma_and_results(cfg: StudyConfig, epsilons: tuple, blocks: list, jobs: int, ode) -> tuple:
     """Gamma and the results of all blocks, in block order; see run_study."""
+
+    def study_gamma():
+        return _gamma_from_limit(cfg.model_spec(), cfg.hurst_vector(), ode, cfg.gamma_refine)
+
     if jobs > 1:
         try:
             with ProcessPoolExecutor(max_workers=jobs, mp_context=_pool_context()) as pool:
-                pending = pool.map(_run_block, repeat(cfg), repeat(epsilons), blocks)
+                pending = pool.map(_run_block, repeat(cfg), repeat(epsilons), blocks, repeat(ode))
                 try:
-                    gamma = _study_gamma(cfg)
+                    gamma = study_gamma()
                 except BaseException:
                     pool.shutdown(cancel_futures=True)
                     raise
@@ -328,18 +323,20 @@ def _gamma_and_results(cfg: StudyConfig, epsilons: tuple, blocks: list, jobs: in
             raise ResourceError(f"a study worker process died: {exc}") from exc
         except OSError as exc:  # sandboxed environments
             log.warning("process pool unavailable (%s); running serially", exc)
-    gamma = _study_gamma(cfg)
-    return gamma, [res for ids in blocks for res in _run_block(cfg, epsilons, ids)]
+    gamma = study_gamma()
+    return gamma, [res for ids in blocks for res in _run_block(cfg, epsilons, ids, ode)]
 
 
 def run_study(cfg: StudyConfig) -> StudySummary:
     """Run all replicates for every epsilon level and aggregate.
 
-    Replicate ids run in blocks (all epsilon levels of an id in the same
-    block). Inline (FRACMLE_THREADS or n_jobs of 1), Gamma comes first, so
-    a study whose ODE limit cannot be solved fails before any block runs.
-    A pool of worker processes runs the blocks while the calling process
-    computes Gamma, and cancels the blocks not yet started if Gamma fails.
+    The ODE limit is solved once, in the calling process, before any block:
+    a study whose limit cannot be solved fails there, and the blocks and
+    Gamma take their states from that solve. Replicate ids run in blocks
+    (all epsilon levels of an id in the same block). Inline (FRACMLE_THREADS
+    or n_jobs of 1), Gamma comes first. A pool of worker processes runs the
+    blocks while the calling process computes Gamma, and cancels the blocks
+    not yet started if Gamma fails.
     Aggregation and file output happen in the calling process only, after
     all blocks joined. A pool gets about 4 blocks per worker, to balance its
     load; inline, blocks are as large as MAX_BLOCK_IDS allows.
@@ -348,11 +345,14 @@ def run_study(cfg: StudyConfig) -> StudySummary:
     jobs, n = _n_jobs(cfg), cfg.n_replicates
     size = min(MAX_BLOCK_IDS, -(-n // (4 * jobs)) if jobs > 1 else n)
     blocks = [range(lo, min(lo + size, n)) for lo in range(0, n, size)]
-    gamma, results = _gamma_and_results(cfg, epsilons, blocks, jobs)
+    ode = _ode_limit(cfg)
+    if isinstance(ode, FracmleError):
+        raise ode
+    gamma, results = _gamma_and_results(cfg, epsilons, blocks, jobs, ode)
     by_eps = {eps: [res for res in results if res.epsilon == eps] for eps in epsilons}
 
     if gamma.a5_ok:
-        gamma_inv = np.linalg.inv(gamma.matrix)
+        gamma_inv = spd_inverse(gamma.matrix)[0]
     else:
         # information matrix degenerate: report raw moments, no standardization
         log.warning("information matrix is singular; normalized diagnostics unavailable")

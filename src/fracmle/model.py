@@ -123,10 +123,58 @@ def eval_A_inverse(model: ModelSpec, x) -> np.ndarray:
     return _checked_inverse((sig @ sig.T)[None], x[None])[0]
 
 
+def stack_matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x @ y over broadcast stacks of small matrices: one broadcast product per index
+    of the contracted axis, summed in index order.
+
+    numpy's matmul makes one BLAS call per matrix for a matrix-vector or 1 x 1
+    product, which on a path's d x d stacks costs more than the arithmetic, and
+    BLAS may fuse multiply-adds; here every product and sum rounds on its own.
+    """
+    out = x[..., :1] * y[..., :1, :]
+    for j in range(1, x.shape[-1]):
+        out += x[..., j : j + 1] * y[..., j : j + 1, :]
+    return out
+
+
+def spd_inverse(a: np.ndarray):
+    """(A^-1, det A) of a stack (..., d, d) of symmetric positive definite matrices.
+
+    One Gauss-Jordan pass without pivoting, vectorized over the stack; det A is
+    the product of the pivots, and at d = 1 the pass gives 1/a and a. Elimination
+    without pivoting is backward stable on SPD matrices (Golub & Van Loan, Matrix
+    Computations, 4.2), which is the precondition: on other input a zero or
+    non-finite pivot passes on, without a warning, into a det of 0, +-inf or NaN.
+    """
+    d = a.shape[-1]
+    # rows and columns first, so that each row operation runs over the whole stack
+    work = np.empty((d, 2 * d) + a.shape[:-2])
+    work[:, :d] = np.moveaxis(a, (-2, -1), (0, 1))
+    work[:, d:] = np.eye(d).reshape((d, d) + (1,) * (a.ndim - 2))
+    det = np.ones(a.shape[:-2])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for j in range(d):
+            pivot = work[j, j].copy()
+            det *= pivot
+            work[j, j:] /= pivot
+            for i in range(d):
+                if i != j:
+                    work[i, j:] -= work[i, j] * work[j, j:]
+    return np.moveaxis(work[:, d:], (0, 1), (-2, -1)), det
+
+
 def _checked_inverse(a: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """Inverses of stacked A = sigma sigma*, after the det-floor and 1e-10 residual checks."""
-    det = np.linalg.det(a)
-    bad = det <= ELLIPTICITY_FLOOR
+    """Inverses of a path's stack (n, d, d) of A = sigma sigma*, by spd_inverse's one
+    Gauss-Jordan pass without pivoting over the whole stack.
+
+    That elimination needs A symmetric positive definite. A = sigma sigma* is
+    symmetric and semidefinite by construction, and the checks stand for the rest:
+    det A, the product of the pivots, must exceed ELLIPTICITY_FLOOR (a NaN det fails
+    too), else EllipticityError names the first bad node and its det; and A A^-1 - I,
+    one stacked product, must stay within 1e-10.
+    """
+    ainv, det = spd_inverse(a)
+    bad = ~(det > ELLIPTICITY_FLOOR)
     if np.any(bad):
         k = int(np.argmax(bad))
         raise EllipticityError(
@@ -134,9 +182,8 @@ def _checked_inverse(a: np.ndarray, states: np.ndarray) -> np.ndarray:
             x=states[k],
             det=float(det[k]),
         )
-    ainv = np.linalg.inv(a)
-    resid = np.einsum("kab,kbc->kac", a, ainv) - np.eye(a.shape[-1])
-    if np.max(np.abs(resid)) > 1e-10:
+    resid = stack_matmul(a, ainv) - np.eye(a.shape[-1])
+    if not np.max(np.abs(resid)) <= 1e-10:
         raise EllipticityError("A(x) numerically singular beyond 1e-10 inversion check")
     return ainv
 
@@ -158,21 +205,26 @@ def sigma_weighted(model: ModelSpec, x):
 
 
 def weighted_path(model: ModelSpec, states: np.ndarray):
-    """F = sigma* A^-1 and its Jacobian along a path, in stacked form.
+    """F = sigma* A^-1 and its Jacobian along a path, as products over whole stacks.
 
-    dF = (d sigma)* A^-1 - sigma* A^-1 (dA) A^-1 with
-    dA = (d sigma) sigma* + sigma (d sigma)*.
+    With A = sigma sigma* and the state-derivative axis p of d sigma moved to a
+    batch axis, dA_p = M + M* with M = (d_p sigma) sigma*, and
+    dF_p = (d_p sigma)* A^-1 - (F dA_p) A^-1; each is one stack_matmul over the
+    n nodes (and the d values of p). Returns F as (n, r, d) and dF as
+    (n, r, d, d) with [k, i, a, p] = dF_ia / dx_p at node k.
     """
     d, r = model.d, model.r
     sig = eval_path(model, model.diffusion, states, (d, r))
-    ainv = _checked_inverse(np.einsum("kai,kbi->kab", sig, sig), states)
-    f = np.einsum("kbi,kba->kia", sig, ainv)
-    dsig = eval_path(model, model.diffusion_dx, states, (d, r, d))
-    da = np.einsum("kaip,kbi->kabp", dsig, sig) + np.einsum("kai,kbip->kabp", sig, dsig)
-    df = np.einsum("kbip,kba->kiap", dsig, ainv) - np.einsum(
-        "kib,kbcp,kca->kiap", f, da, ainv
+    sig_t = sig.swapaxes(1, 2)
+    ainv = _checked_inverse(stack_matmul(sig, sig_t), states)
+    f = stack_matmul(sig_t, ainv)
+    dsig = np.moveaxis(eval_path(model, model.diffusion_dx, states, (d, r, d)), 3, 1)  # [k, p, a, i]
+    m_p = stack_matmul(dsig, sig_t[:, None])
+    ainv = ainv[:, None]
+    df = stack_matmul(dsig.swapaxes(2, 3), ainv) - stack_matmul(
+        stack_matmul(f[:, None], m_p + m_p.swapaxes(2, 3)), ainv
     )
-    return f, df
+    return f, np.moveaxis(df, 1, 3)
 
 
 @dataclass(frozen=True)
@@ -252,8 +304,7 @@ def probe_assumptions(
     dsig = eval_path(model, model.diffusion_dx, xs, (d, r, d))
     ddsig = eval_path(model, model.diffusion_dxx, xs, (d, r, d, d))
     sig_bound = max(float(np.max(np.abs(v))) for v in (sig, dsig, ddsig))
-    a = sig @ np.swapaxes(sig, 1, 2)
-    det = np.linalg.det(a)
+    _, det = spd_inverse(stack_matmul(sig, sig.swapaxes(1, 2)))
     ell_min = float(np.min(det))
 
     flags = {
@@ -376,8 +427,10 @@ def _linear1d() -> ModelSpec:
 def _cross2d() -> ModelSpec:
     def drift(x, th):
         x = np.asarray(x, dtype=float)
-        x1, x2 = x[..., 0], x[..., 1]
-        return np.stack([-th[0] * x1 - 0.1 * x2, -th[1] * x2], axis=-1)
+        out = np.empty(x.shape)
+        out[..., 0] = -th[0] * x[..., 0] - 0.1 * x[..., 1]
+        out[..., 1] = -th[1] * x[..., 1]
+        return out
 
     def drift_dx(x, th):
         return _batched(x, (2, 2), np.array([[-th[0], -0.1], [0.0, -th[1]]]))

@@ -111,9 +111,11 @@ def solve_rde_batch(
             b = eval_path(model, model.drift, x, (d,), theta)
             sig = eval_path(model, model.diffusion, x, (d, r))
             dsig = eval_path(model, model.diffusion_dx, x, (d, r, d))
-            g = dsig @ sig[..., None, :, :]
+            # G transposed, [row, a, j, i] = G[a, i, j], against Area[j, i] flattened;
+            # numpy's matmul, as the R rows of a step are few matrices
+            g_t = (sig.swapaxes(1, 2)[:, None] @ dsig.swapaxes(2, 3)).reshape(-1, d, r * r)
             noise = (sig @ dB[k][..., None])[..., 0]
-            return x + b * dt + e * noise + e2 * np.einsum("...aij,...ji->...a", g, A[k])
+            return x + b * dt + e * noise + e2 * (g_t @ A[k].reshape(-1, r * r, 1))[..., 0]
 
         return step
 
@@ -174,18 +176,20 @@ def solve_ode(model: ModelSpec, theta0, x0, grid: TimeGrid) -> Trajectory:
     return Trajectory(states[:, 0], epsilon=0.0, theta_used=tuple(theta0.tolist()), grid=grid)
 
 
-def _ode_limit_refined(model: ModelSpec, theta0, x0, grid: TimeGrid, refine: int) -> Trajectory:
-    """The ODE limit on TimeGrid(T, n_coarse * refine, 0) from n_coarse RK4 steps.
+def _ode_limit_refined(model: ModelSpec, ode: Trajectory, refine: int) -> Trajectory:
+    """The ODE limit on TimeGrid(T, n_coarse * refine, 0) from ode, its solve_ode on
+    the n_coarse-step grid.
 
-    Every refine-th node holds solve_ode's state on the coarse grid, bit for bit;
-    each cell between is filled by the cubic Hermite interpolant with the drift as
-    the slope at both ends, the dense output of RK4 (Hairer, Norsett & Wanner,
-    Solving ODEs I, II.6), whose O(dt^4) error matches the solve's own.
+    Every refine-th node holds ode's state, bit for bit; each cell between is filled
+    by the cubic Hermite interpolant with the drift as the slope at both ends, the
+    dense output of RK4 (Hairer, Norsett & Wanner, Solving ODEs I, II.6), whose
+    O(dt^4) error matches the solve's own.
     """
-    ode = solve_ode(model, theta0, x0, TimeGrid(grid.T, grid.n_coarse, 0))
+    x, grid, d = ode.states, ode.grid, model.d
+    n = grid.n_coarse
+    fine_grid = TimeGrid(grid.T, n * refine, 0)
     if refine == 1:
-        return ode
-    x, n, d = ode.states, grid.n_coarse, model.d
+        return Trajectory(x, 0.0, ode.theta_used, fine_grid)
     slope = grid.dt * eval_path(model, model.drift, x, (d,), np.asarray(ode.theta_used))
     s = (np.arange(1, refine) / refine)[:, None]
     s2, s3 = s * s, s * s * s
@@ -198,7 +202,7 @@ def _ode_limit_refined(model: ModelSpec, theta0, x0, grid: TimeGrid, refine: int
         + (s3 - s2) * slope[1:, None]
     )
     states.setflags(write=False)
-    return Trajectory(states, 0.0, ode.theta_used, TimeGrid(grid.T, n * refine, 0))
+    return Trajectory(states, 0.0, ode.theta_used, fine_grid)
 
 
 def sup_distance(xeps: Trajectory, x: Trajectory) -> float:

@@ -19,7 +19,7 @@ def sampled_lift(hurst, grid, seed):
 _PARENT_PID = os.getpid()
 
 
-def die_in_worker(cfg, epsilons, ids):
+def die_in_worker(cfg, epsilons, ids, ode=None):
     """A stand-in for a study block that kills the worker process running it; run in
     the calling process (a serial fallback), it fails the test instead."""
     if os.getpid() != _PARENT_PID:

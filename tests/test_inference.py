@@ -711,6 +711,40 @@ def test_mle_singular_theta_linear_hessian_falls_back_to_newton(monkeypatch):
     assert abs(grad[0]) <= OptimizerConfig().grad_tol * abs(rec.loglik)
 
 
+def test_mle_shifted_hessian_step_reaches_the_ridge():
+    # H = -0.973 [[1, 1], [1, 1]] is singular; a gradient step scaled by max(1, |H|)
+    # overshoots the ridge theta1 + theta2 = const and stalls every start at max_iter,
+    # where the step along (mu I - H)^-1 g, mu just above lambda_max(H) = 0, lands on it
+    model = _collinear_linear_model()
+    grid = TimeGrid(1.0, 128, 0)
+    traj = solve_rde(model, [0.5, 0.5], 0.6, sampled_lift(H04, grid, 3), [1.0])
+    ctx = build_context(traj, model, H04)
+    ll, grad, hess = likelihood_parts(ctx, model.theta_domain.mean(axis=1), order=2)
+    ridge = ll - 0.5 * grad @ np.linalg.pinv(hess) @ grad
+    rec = mle(ctx)
+    assert rec.converged and not rec.boundary_flag
+    assert abs(rec.loglik - ridge) <= 1e-10 * abs(ridge)
+
+
+def test_mle_no_ascent_gate_scales_with_curvature():
+    # a flat concave quadratic (H's eigenvalues near -2e-12) on a narrow box: its Newton
+    # step d leaves the box so far that every backtracked, clamped step lands on the
+    # corner (0.502, 0.498), which descends. The start stalls with |g| = 4.7e-5, below
+    # the old gate sqrt(grad_tol) = 1e-4, while its Newton decrement g'd / 2 = 30 says
+    # a large ascent is left, so it is rejected
+    model = _collinear_linear_model().with_domain([[0.498, 0.502], [0.498, 0.502]])
+    g, d = np.array([3e-5, 3.6e-5]), np.array([5e6, -2.5e6])
+    # -H maps d to g: g g'/(g'd) plus a multiple of the projector off d
+    minus_h = np.outer(g, g) / (g @ d) + 1e-10 * (np.eye(2) - np.outer(d, d) / (d @ d))
+    assert np.linalg.eigvalsh(minus_h)[0] > 1e-12
+    quad = inference._Quadratic(np.array([0.5, 0.5]), -1.0, g, -minus_h)
+    with pytest.raises(OptimizationError) as info:
+        inference._projected_newton(model, quad, OptimizerConfig(n_starts=1))
+    (diag,) = info.value.diagnostics
+    assert diag["theta"] == pytest.approx([0.5, 0.5], abs=1e-15)
+    assert diag["grad_norm"] == pytest.approx(np.linalg.norm(g), rel=1e-6)
+
+
 def _ou_mean_model():
     """b = -theta1 (x - theta2): an OU process with unknown rate and mean, not affine in
     theta (its mixed second theta-derivative is 1)."""

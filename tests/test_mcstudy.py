@@ -379,7 +379,8 @@ def test_bad_gamma_refine_ends_inline_study_before_any_replicate(refine, monkeyp
 
 def test_pool_cancels_pending_blocks_when_gamma_fails(monkeypatch):
     # on a pool, Gamma runs while the blocks are queued; when it fails, the blocks not
-    # yet started are cancelled instead of run to completion by the pool's shutdown
+    # yet started are cancelled instead of run to completion by the pool's shutdown.
+    # An ODE limit that cannot be solved ends the study before any pool is made.
     import fracmle.mcstudy as mc
     from fracmle import DivergenceError
 
@@ -409,10 +410,15 @@ def test_pool_cancels_pending_blocks_when_gamma_fails(monkeypatch):
             self.queued = []
 
     monkeypatch.setattr(mc, "ProcessPoolExecutor", LazyPool)
-    monkeypatch.setattr(mc, "_run_block", lambda cfg, epsilons, ids: ran.append(ids))
+    monkeypatch.setattr(mc, "_run_block", lambda cfg, epsilons, ids, ode: ran.append(ids))
+    with pytest.raises(InputError, match="refine must be a positive integer"):
+        run_study(_small_cfg(gamma_refine=0, n_jobs=2))
+    assert shutdowns[0] is True
+    assert ran == []
+    shutdowns.clear()
     with pytest.raises(DivergenceError, match="ODE flow exceeded blow-up guard"):
         run_study(dataclasses.replace(_explosive_cfg(6), n_jobs=2))
-    assert shutdowns[0] is True
+    assert shutdowns == []
     assert ran == []
 
 
@@ -495,6 +501,34 @@ def test_theta_linear_study_evaluates_the_likelihood_once_per_path(monkeypatch):
     summary = run_study(_small_cfg(epsilons=(0.1, 0.05), n_replicates=6))
     assert [s.n_ok for s in summary.per_eps] == [6, 6]
     assert orders == [2] * 12
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_study_solves_the_ode_limit_once_in_the_calling_process(jobs, tmp_path, monkeypatch):
+    # the blocks' sup-distances and Gamma share one solve_ode call, made before any
+    # block; pooled workers solve none (the pool forks, so they inherit the counter)
+    import os
+
+    import fracmle.inference as inference
+    import fracmle.mcstudy as mc
+    import fracmle.rde as rde
+
+    calls = tmp_path / "calls"
+    real = rde.solve_ode
+
+    def counted(*args):
+        with open(calls, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return real(*args)
+
+    for mod in (rde, inference, mc):
+        if getattr(mod, "solve_ode", None) is real:
+            monkeypatch.setattr(mod, "solve_ode", counted)
+    # an x0 of its own per case, so that no cache of an earlier study could serve it
+    cfg = _small_cfg(tmp_path / "out", x0=(0.5 * jobs,), n_replicates=8, n_jobs=jobs, gamma_refine=2)
+    summary = run_study(cfg)
+    assert summary.per_eps[0].n_ok == 8
+    assert calls.read_text().split() == [str(os.getpid())]
 
 
 def test_run_replicate_is_its_block_row():

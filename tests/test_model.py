@@ -24,6 +24,7 @@ from fracmle.model import (
     eval_path,
     finite_difference_check,
     sigma_weighted,
+    spd_inverse,
     weighted_path,
 )
 
@@ -334,8 +335,7 @@ def _probe_reference(model, probe, seed):
         dsig = np.asarray(model.diffusion_dx(x), dtype=float)
         ddsig = np.asarray(model.diffusion_dxx(x), dtype=float)
         sig_bound = max(sig_bound, np.max(np.abs(sig)), np.max(np.abs(dsig)), np.max(np.abs(ddsig)))
-        a = sig @ sig.T
-        det = float(np.linalg.det(a))
+        det = float(spd_inverse(sig @ sig.T)[1])  # the package's det: the product of the pivots
         ell_min = min(ell_min, det)
         for th in thetas:
             growth[(0, 0)] = max(growth[(0, 0)], np.max(np.abs(model.drift(x, th))) / wt)

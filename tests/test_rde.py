@@ -255,7 +255,7 @@ def test_rk4_stage_past_guard_is_divergence():
 def test_refined_ode_limit_keeps_the_coarse_rk4_nodes(refine):
     for name, theta, x0 in [("linear1d", [5.0], [1.0]), ("cross2d", [1.0, 2.0], [1.0, 1.0])]:
         model, grid = get_model(name), TimeGrid(1.0, 64, 1)
-        fine = _ode_limit_refined(model, theta, x0, grid, refine)
+        fine = _ode_limit_refined(model, solve_ode(model, theta, x0, grid), refine)
         assert fine.grid == TimeGrid(1.0, 64 * refine, 0)
         assert np.array_equal(fine.states[::refine], solve_ode(model, theta, x0, grid).states)
         assert not fine.states.flags.writeable
@@ -267,7 +267,7 @@ def test_refined_ode_limit_is_fourth_order():
     model, theta = get_model("linear1d"), 2.0
     errors = []
     for n in (16, 32, 64):
-        fine = _ode_limit_refined(model, [theta], [1.0], TimeGrid(1.0, n, 0), 8)
+        fine = _ode_limit_refined(model, solve_ode(model, [theta], [1.0], TimeGrid(1.0, n, 0)), 8)
         errors.append(np.max(np.abs(fine.states[:, 0] - np.exp(-theta * fine.grid.coarse_nodes()))))
     assert errors[0] / errors[1] >= 12 and errors[1] / errors[2] >= 12
 
