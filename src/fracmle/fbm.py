@@ -155,20 +155,11 @@ class RoughPath:
         """
         if not (0 <= i <= j <= self.grid.n_fine):
             raise InputError(f"invalid fine-node interval ({i}, {j})")
-        r = self.r
         if i == j:
-            return np.zeros((r, r))
-        db = self.increments[i:j]
+            return np.zeros((self.r, self.r))
         rel = self.values[i:j] - self.values[i]
-        out = np.empty((r, r))
-        full = rel.T @ db  # full[a, b] = sum_k rel[k, a] * db[k, b]
-        tot = self.values[j] - self.values[i]
-        for a in range(r):
-            out[a, a] = 0.5 * tot[a] ** 2
-            for b in range(a + 1, r):
-                out[a, b] = full[a, b]
-                out[b, a] = -full[a, b] + tot[a] * tot[b]
-        return out
+        # cross[a, b] = sum_k rel[k, a] * increments[i + k, b]
+        return complete_area(rel.T @ self.increments[i:j], self.values[j] - self.values[i])
 
 
 @lru_cache(maxsize=8)

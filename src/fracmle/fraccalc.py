@@ -336,8 +336,8 @@ def kh_inverse_transform(plan: FracKernelPlan, y: np.ndarray) -> np.ndarray:
     tail = plan.kernel_tail
     if tail is not None:
         g = tail.midpoint_powers * dy
-        conv = np.fft.irfft(np.fft.rfft(g, tail.fft_len)[..., None, :] * tail.spectra, tail.fft_len)
-        inc = np.einsum("pj,...pj->...j", tail.weights, conv[..., m:n])
+        conv = _conv(g[..., None, :], (tail.fft_len, tail.spectra), n)[..., m:]
+        inc = np.einsum("pj,...pj->...j", tail.weights, conv)
         out[..., m + 1 :] = out[..., m, None] + tail.scale * np.cumsum(inc, axis=-1)
     return out
 

@@ -33,6 +33,8 @@ EXACT_SOLVE_MAX_M = 3
 NEGATIVE_DEFINITE_RTOL = 1e-10
 # Newton's fallback shift: mu = lambda_max(H) + rtol * max(1, max |eigenvalue|)
 FALLBACK_SHIFT_RTOL = float(np.sqrt(np.finfo(float).eps))
+# step halvings a line search tries before it gives up
+MAX_BACKTRACKS = 30
 
 
 @dataclass(frozen=True)
@@ -82,7 +84,6 @@ class OptimizerConfig:
     grad_tol: float = 1e-8
     max_iter: int = 100
     boundary_tol: float = 1e-6
-    max_backtracks: int = 30
 
 
 @dataclass(frozen=True)
@@ -324,11 +325,11 @@ def _box_maximizer(model: ModelSpec, quad: _Quadratic):
     return best
 
 
-def _backtrack(model: ModelSpec, parts, theta, ll, direction, max_backtracks: int):
+def _backtrack(model: ModelSpec, parts, theta, ll, direction):
     """The first of theta + direction, theta + direction / 2, ..., clamped into the box,
-    whose loglik exceeds ll; None when none of max_backtracks does or one equals theta."""
+    whose loglik exceeds ll; None when none of MAX_BACKTRACKS does or one equals theta."""
     step = 1.0
-    for _ in range(max_backtracks):
+    for _ in range(MAX_BACKTRACKS):
         cand = model.clamp_theta(theta + step * direction)
         if np.array_equal(cand, theta):
             return None
@@ -366,12 +367,12 @@ def _projected_newton(model: ModelSpec, parts, optimizer: OptimizerConfig) -> tu
                 mu = eigs[-1] + FALLBACK_SHIFT_RTOL * max(1.0, float(np.max(np.abs(eigs))))
                 ascent = mu * np.eye(len(gp)) - hess
                 direction = np.linalg.solve(ascent, gp)
-            cand = _backtrack(model, parts, theta, ll, direction, optimizer.max_backtracks)
+            cand = _backtrack(model, parts, theta, ll, direction)
             if cand is None and newton and binding.any():
                 # coupled parameters: the clamped step can make no ascent on the face of
                 # the binding bounds, where the Newton step of the free block does
                 face = _face_stationary(_Quadratic(theta, ll, grad, hess), theta, ~binding)
-                cand = _backtrack(model, parts, theta, ll, face - theta, optimizer.max_backtracks)
+                cand = _backtrack(model, parts, theta, ll, face - theta)
             if cand is None:
                 # no ascent found inside the box: a stationary point if the ascent the
                 # step promises, the Newton decrement 1/2 gp' (-H)^-1 gp (the shifted

@@ -6,13 +6,13 @@ replicate_id, component), so results are independent of the parallel
 execution layout and byte-identical across runs. Studies run in blocks of
 replicate ids: each id's driver is sampled and lifted once and shared by
 every epsilon level, and all (epsilon, id) paths of a block are solved in
-one batched march, with one call of each callback per step. The ODE limit
-is solved once, in the calling process, before any block: the blocks
-compare their paths with it, and Gamma is finished from it, before the
-blocks inline and alongside them on a process pool, where its failure
-cancels the blocks not yet started. Failed replicates (divergence,
-optimization failure) are recorded and excluded from the moments, never
-silently dropped; a study with more than 20% failures is marked invalid.
+one batched march, with one call of each callback per step. On every
+layout the calling process solves the ODE limit once and finishes Gamma
+from it before any block starts; the blocks compare their paths with that
+limit, and a failure of the limit or of Gamma starts no block. Failed
+replicates (divergence, optimization failure) are recorded and excluded
+from the moments, never silently dropped; a study with more than 20%
+failures is marked invalid.
 """
 
 from __future__ import annotations
@@ -303,43 +303,32 @@ def _pool_context():
     return multiprocessing.get_context("fork") if "fork" in multiprocessing.get_all_start_methods() else None
 
 
-def _gamma_and_results(cfg: StudyConfig, epsilons: tuple, blocks: list, jobs: int, ode) -> tuple:
-    """Gamma and the results of all blocks, in block order; see run_study."""
-
-    def study_gamma():
-        return _gamma_from_limit(cfg.model_spec(), cfg.hurst_vector(), ode, cfg.gamma_refine)
-
+def _block_results(cfg: StudyConfig, epsilons: tuple, blocks: list, jobs: int, ode) -> list:
+    """The results of all blocks, in block order: on a pool of jobs worker processes
+    when jobs > 1 and the platform gives one, else inline."""
     if jobs > 1:
         try:
             with ProcessPoolExecutor(max_workers=jobs, mp_context=_pool_context()) as pool:
                 pending = pool.map(_run_block, repeat(cfg), repeat(epsilons), blocks, repeat(ode))
-                try:
-                    gamma = study_gamma()
-                except BaseException:
-                    pool.shutdown(cancel_futures=True)
-                    raise
-                return gamma, [res for block in pending for res in block]
+                return [res for block in pending for res in block]
         except BrokenExecutor as exc:  # not a fallback: the blocks would run twice
             raise ResourceError(f"a study worker process died: {exc}") from exc
         except OSError as exc:  # sandboxed environments
             log.warning("process pool unavailable (%s); running serially", exc)
-    gamma = study_gamma()
-    return gamma, [res for ids in blocks for res in _run_block(cfg, epsilons, ids, ode)]
+    return [res for ids in blocks for res in _run_block(cfg, epsilons, ids, ode)]
 
 
 def run_study(cfg: StudyConfig) -> StudySummary:
     """Run all replicates for every epsilon level and aggregate.
 
-    The ODE limit is solved once, in the calling process, before any block:
-    a study whose limit cannot be solved fails there, and the blocks and
-    Gamma take their states from that solve. Replicate ids run in blocks
-    (all epsilon levels of an id in the same block). Inline (FRACMLE_THREADS
-    or n_jobs of 1), Gamma comes first. A pool of worker processes runs the
-    blocks while the calling process computes Gamma, and cancels the blocks
-    not yet started if Gamma fails.
-    Aggregation and file output happen in the calling process only, after
-    all blocks joined. A pool gets about 4 blocks per worker, to balance its
-    load; inline, blocks are as large as MAX_BLOCK_IDS allows.
+    Every layout does the same work in the same order. The calling process
+    solves the ODE limit and finishes Gamma from it; a failure of either ends
+    the study before any block starts. Then the blocks of replicate ids run
+    (all epsilon levels of an id in the same block) and compare their paths
+    with that limit: inline (FRACMLE_THREADS or n_jobs of 1), with blocks as
+    large as MAX_BLOCK_IDS allows, or on a pool of worker processes, about 4
+    blocks per worker to balance its load. Aggregation and file output happen
+    in the calling process only, after all blocks joined.
     """
     epsilons = tuple(dict.fromkeys(cfg.epsilons))
     jobs, n = _n_jobs(cfg), cfg.n_replicates
@@ -348,7 +337,8 @@ def run_study(cfg: StudyConfig) -> StudySummary:
     ode = _ode_limit(cfg)
     if isinstance(ode, FracmleError):
         raise ode
-    gamma, results = _gamma_and_results(cfg, epsilons, blocks, jobs, ode)
+    gamma = _gamma_from_limit(cfg.model_spec(), cfg.hurst_vector(), ode, cfg.gamma_refine)
+    results = _block_results(cfg, epsilons, blocks, jobs, ode)
     by_eps = {eps: [res for res in results if res.epsilon == eps] for eps in epsilons}
 
     if gamma.a5_ok:
@@ -374,7 +364,10 @@ def _json_line(doc: dict) -> str:
 
 
 def config_hash(cfg: StudyConfig) -> str:
-    blob = json.dumps(cfg.canonical_dict(), sort_keys=True, separators=(",", ":"))
+    """Hash of what the study computes: n_jobs and output_dir, which change how and
+    where it runs but not its records, are left out."""
+    doc = {k: v for k, v in cfg.canonical_dict().items() if k not in ("n_jobs", "output_dir")}
+    blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
 
 

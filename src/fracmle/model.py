@@ -330,22 +330,26 @@ def finite_difference_check(model: ModelSpec, n_probes: int = 50, seed: int = 0)
     dom = model.theta_domain
 
     def rel_error(exact, f, at):  # of the Jacobian exact of f at `at`, scaled by max(1, |exact|)
-        exact = np.asarray(exact, dtype=float).reshape(model.d, at.size)
+        exact = exact.reshape(model.d, at.size)
         fd = np.empty_like(exact)
         for c in range(at.size):
             e = np.zeros(at.shape)
             e.flat[c] = step
-            fd[:, c] = (np.asarray(f(at + e)) - np.asarray(f(at - e))).ravel() / (2 * step)
+            fd[:, c] = (f(at + e) - f(at - e)).ravel() / (2 * step)
         return np.max(np.abs(fd - exact)) / max(1.0, np.max(np.abs(exact)))
+
+    def drift(y, th):
+        return eval_path(model, model.drift, y, (model.d,), th)
 
     worst_dx = worst_dth = 0.0
     for _ in range(n_probes):
         x = rng.uniform(-2.0, 2.0, size=(1, model.d))  # one state, as a (1, d) stack
         width = dom[:, 1] - dom[:, 0]
         th = rng.uniform(dom[:, 0] + 0.1 * width, dom[:, 1] - 0.1 * width)
-        worst_dx = max(worst_dx, rel_error(model.drift_dx(x, th), lambda y: model.drift(y, th), x))
-        err_th = rel_error(model.drift_dtheta[0](x, th), lambda t: model.drift(x, t), th)
-        worst_dth = max(worst_dth, err_th)
+        dx = eval_path(model, model.drift_dx, x, (model.d, model.d), th)
+        worst_dx = max(worst_dx, rel_error(dx, lambda y: drift(y, th), x))
+        dth = eval_path(model, model.drift_dtheta[0], x, (model.d, model.m), th)
+        worst_dth = max(worst_dth, rel_error(dth, lambda t: drift(x, t), th))
     return worst_dx, worst_dth
 
 

@@ -170,6 +170,7 @@ def solve_ode(model: ModelSpec, theta0, x0, grid: TimeGrid) -> Trajectory:
         return x + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
 
     x0 = model.check_state(x0, what="x0")[None]
+    eval_path(model, model.drift, x0, (model.d,), theta0)  # a wrong-shaped drift fails here
     states, (err,) = _march(lambda _: rk4, x0, grid.n_coarse, "ODE flow")
     if err is not None:
         raise err

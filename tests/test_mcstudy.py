@@ -348,8 +348,8 @@ def test_replicate_failure_recorded():
 
 
 def test_unsolvable_limit_ends_inline_study_before_any_replicate(monkeypatch):
-    # inline, Gamma comes first: an ODE limit that overflows inside an RK4 step ends the
-    # study in a DivergenceError (not an overflow warning) before any driver is sampled
+    # an ODE limit that overflows inside an RK4 step ends the study in a DivergenceError
+    # (not an overflow warning) before any driver is sampled
     import fracmle.mcstudy as mc
     from fracmle import DivergenceError
 
@@ -366,60 +366,54 @@ def test_unsolvable_limit_ends_inline_study_before_any_replicate(monkeypatch):
     assert seeds == []
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("refine", [2.5, 0])
-def test_bad_gamma_refine_ends_inline_study_before_any_replicate(refine, monkeypatch):
+def test_bad_gamma_refine_ends_study_before_any_replicate(refine, jobs, monkeypatch):
+    # Gamma is finished before any block on every layout: a pooled study makes no pool
     import fracmle.mcstudy as mc
 
-    seeds = []
+    seeds, pools = [], []
     monkeypatch.setattr(mc, "sample_fbm", lambda hurst, grid, seed: seeds.append(seed))
+    monkeypatch.setattr(mc, "ProcessPoolExecutor", lambda *a, **kw: pools.append(a))
     with pytest.raises(InputError, match="refine must be a positive integer"):
-        run_study(_small_cfg(gamma_refine=refine))
-    assert seeds == []
+        run_study(_small_cfg(gamma_refine=refine, n_jobs=jobs))
+    assert seeds == [] and pools == []
 
 
-def test_pool_cancels_pending_blocks_when_gamma_fails(monkeypatch):
-    # on a pool, Gamma runs while the blocks are queued; when it fails, the blocks not
-    # yet started are cancelled instead of run to completion by the pool's shutdown.
-    # An ODE limit that cannot be solved ends the study before any pool is made.
+def test_pool_starts_no_block_when_the_limit_or_gamma_fails(monkeypatch):
+    # a pooled study solves the ODE limit and Gamma before it makes its pool: when
+    # either fails, no pool is made and no block runs, even on a pool that would
+    # run every block at once
     import fracmle.mcstudy as mc
-    from fracmle import DivergenceError
+    from fracmle import DivergenceError, StandardizationError
 
-    shutdowns, ran = [], []
+    pools, ran = [], []
 
-    class LazyPool:
-        # map only queues; shutdown runs the blocks not cancelled, as a real pool does
+    class EagerPool:
         def __init__(self, max_workers, mp_context=None):
-            self.queued = []
+            pools.append(max_workers)
 
         def __enter__(self):
             return self
 
         def __exit__(self, *exc):
-            self.shutdown()
+            return False
 
         def map(self, fn, *iterables):
-            self.queued = [(fn, args) for args in zip(*iterables)]
-            return iter(())
+            return [fn(*args) for args in zip(*iterables)]
 
-        def shutdown(self, wait=True, cancel_futures=False):
-            shutdowns.append(cancel_futures)
-            if cancel_futures:
-                self.queued = []
-            for fn, args in self.queued:
-                fn(*args)
-            self.queued = []
+    def failing_gamma(*args):
+        raise StandardizationError("forced Gamma failure")
 
-    monkeypatch.setattr(mc, "ProcessPoolExecutor", LazyPool)
-    monkeypatch.setattr(mc, "_run_block", lambda cfg, epsilons, ids, ode: ran.append(ids))
-    with pytest.raises(InputError, match="refine must be a positive integer"):
-        run_study(_small_cfg(gamma_refine=0, n_jobs=2))
-    assert shutdowns[0] is True
-    assert ran == []
-    shutdowns.clear()
+    monkeypatch.setattr(mc, "ProcessPoolExecutor", EagerPool)
+    monkeypatch.setattr(mc, "_run_block", lambda cfg, epsilons, ids, ode: ran.append(ids) or [])
+    monkeypatch.setattr(mc, "_gamma_from_limit", failing_gamma)
+    with pytest.raises(StandardizationError, match="forced Gamma failure"):
+        run_study(_small_cfg(n_jobs=2))
+    assert pools == [] and ran == []
     with pytest.raises(DivergenceError, match="ODE flow exceeded blow-up guard"):
         run_study(dataclasses.replace(_explosive_cfg(6), n_jobs=2))
-    assert shutdowns == []
-    assert ran == []
+    assert pools == [] and ran == []
 
 
 def test_study_failure_gate(monkeypatch):
@@ -506,29 +500,34 @@ def test_theta_linear_study_evaluates_the_likelihood_once_per_path(monkeypatch):
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_study_solves_the_ode_limit_once_in_the_calling_process(jobs, tmp_path, monkeypatch):
     # the blocks' sup-distances and Gamma share one solve_ode call, made before any
-    # block; pooled workers solve none (the pool forks, so they inherit the counter)
+    # block, and Gamma is finished once from it; pooled workers do neither (the pool
+    # forks, so they inherit the counters)
     import os
 
     import fracmle.inference as inference
     import fracmle.mcstudy as mc
     import fracmle.rde as rde
 
-    calls = tmp_path / "calls"
-    real = rde.solve_ode
+    def counted(real, calls):
+        def wrapper(*args):
+            with open(calls, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return real(*args)
 
-    def counted(*args):
-        with open(calls, "a") as fh:
-            fh.write(f"{os.getpid()}\n")
-        return real(*args)
+        return wrapper
 
-    for mod in (rde, inference, mc):
-        if getattr(mod, "solve_ode", None) is real:
-            monkeypatch.setattr(mod, "solve_ode", counted)
+    for name, mods in (("solve_ode", (rde, inference, mc)), ("_gamma_from_limit", (inference, mc))):
+        real = getattr(mods[0], name)
+        wrapper = counted(real, tmp_path / name)
+        for mod in mods:
+            if getattr(mod, name, None) is real:
+                monkeypatch.setattr(mod, name, wrapper)
     # an x0 of its own per case, so that no cache of an earlier study could serve it
     cfg = _small_cfg(tmp_path / "out", x0=(0.5 * jobs,), n_replicates=8, n_jobs=jobs, gamma_refine=2)
     summary = run_study(cfg)
     assert summary.per_eps[0].n_ok == 8
-    assert calls.read_text().split() == [str(os.getpid())]
+    for name in ("solve_ode", "_gamma_from_limit"):
+        assert (tmp_path / name).read_text().split() == [str(os.getpid())]
 
 
 def test_run_replicate_is_its_block_row():
@@ -638,6 +637,20 @@ def test_list_sequences_in_config_are_normalized():
     assert config_hash(lists) == config_hash(tuples)
     assert run_replicate(lists, 0.1, 0) == run_replicate(tuples, 0.1, 0)
     assert run_study(dataclasses.replace(lists, n_replicates=3)).per_eps[0].n_ok == 3
+
+
+def test_config_hash_ignores_how_and_where_a_study_runs(tmp_path):
+    # n_jobs and output_dir do not change the records, so they do not change the hash
+    from fracmle.mcstudy import config_hash
+
+    base = _small_cfg()
+    hashes = {
+        config_hash(dataclasses.replace(base, n_jobs=jobs, output_dir=out))
+        for jobs in (None, 1, 2)
+        for out in (None, str(tmp_path / "a"), str(tmp_path / "b"))
+    }
+    assert hashes == {config_hash(base)}
+    assert config_hash(dataclasses.replace(base, seed=base.seed + 1)) != config_hash(base)
 
 
 _REGISTERED_MODEL_STUDY = """

@@ -135,6 +135,15 @@ def test_derivatives_match_finite_differences():
         assert dx <= 1e-4 and dth <= 1e-4
 
 
+def test_finite_difference_check_names_a_misshapen_callback():
+    # the check reads drift_dx through eval_path: a cross2d drift_dx that returns one
+    # row per state is an InputError naming both shapes, not NumPy's reshape error
+    cross = get_model("cross2d")
+    model = dataclasses.replace(cross, name="cross2d-bad-dx", drift_dx=lambda x, th: np.zeros((len(x), 2)))
+    with pytest.raises(InputError, match=r"returned shape \(1, 2\), not \(1, 2, 2\)"):
+        finite_difference_check(model, n_probes=1)
+
+
 def test_sigma_weighted_jacobian_fd():
     model = get_model("cross2d")
     rng = np.random.default_rng(3)

@@ -350,6 +350,14 @@ def test_batch_rejects_a_drift_that_ignores_the_stack(h04):
     assert np.array_equal(one.states, solve_rde(lin, [1.0], 0.1, rp, [1.0]).states)
 
 
+def test_ode_rejects_a_misshapen_drift():
+    # solve_ode checks the drift once on x0, as solve_rde does on every step: a cross2d
+    # drift with one column is an InputError, not a path of wrong states
+    model = replace(get_model("cross2d"), name="cross2d-one-column", drift=lambda x, th: -x[:, :1])
+    with pytest.raises(InputError, match=r"returned shape \(1, 1\), not \(1, 2\)"):
+        solve_ode(model, [1.0, 1.0], [1.0, 1.0], TimeGrid(1.0, 16, 0))
+
+
 def test_batch_rejects_mismatched_driver_stack(h04):
     rp = sampled_lift(h04, TimeGrid(1.0, 16, 0), 63)
     inc, areas = rp.coarse_increments[None], rp.coarse_areas[None]
