@@ -66,7 +66,7 @@ def cmd_estimate(args) -> int:
     grid = cfgmod.grid_from(doc)
     theta0 = doc.get("model", {}).get("theta0")
     if args.trajectory is not None:
-        if not Path(args.trajectory).exists():
+        if not Path(args.trajectory).is_file():
             raise ConfigError(f"trajectory file not found: {args.trajectory}")
         if "epsilon" not in doc:
             raise ConfigError("config field epsilon: required for this command")

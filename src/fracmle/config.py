@@ -1,15 +1,18 @@
 """JSON configuration documents for the command-line pipeline.
 
-Configs are schema-validated before any computation runs; unknown keys
-are rejected so a study config is a complete, reproducible artifact.
+Documents are checked against the field table FIELDS before any computation
+runs: unknown keys, missing keys, wrong types, out-of-range values and
+non-finite numbers (JSON's NaN and Infinity) are rejected, so a study config
+is a complete, reproducible artifact, and integral floats in integer fields
+are cast to int.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import operator
 from pathlib import Path
-
-import jsonschema
 
 from .errors import ConfigError
 from .fbm import HURST_HIGH, HURST_LOW, HurstVector, TimeGrid
@@ -17,114 +20,106 @@ from .inference import OptimizerConfig
 from .mcstudy import StudyConfig
 from .model import ModelSpec, get_model
 
-_HURST_ITEM = {
-    "type": "number",
-    "exclusiveMinimum": HURST_LOW,
-    "exclusiveMaximum": HURST_HIGH,
-}
+_HURST = ("number", ">", HURST_LOW, "<", HURST_HIGH)
+_EPSILON = ("number", ">", 0.0, "<=", 1.0)
+_POSITIVE = ("number", ">", 0.0)
+_NUMBERS = ("list", ("number",))
 
-_EPSILON = {"type": "number", "exclusiveMinimum": 0.0, "maximum": 1.0}
-
-SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["model", "grid", "hurst"],
-    "properties": {
-        "model": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["name"],
-            "properties": {
-                "name": {"type": "string"},
-                "theta0": {"type": "array", "items": {"type": "number"}, "minItems": 1},
-                "x0": {"type": "array", "items": {"type": "number"}, "minItems": 1},
-                "theta_domain": {
-                    "type": "array",
-                    "items": {
-                        "type": "array",
-                        "items": {"type": "number"},
-                        "minItems": 2,
-                        "maxItems": 2,
-                    },
-                    "minItems": 1,
-                },
-            },
-        },
-        "grid": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["T", "n_coarse"],
-            "properties": {
-                "T": {"type": "number", "exclusiveMinimum": 0.0},
-                "n_coarse": {"type": "integer", "minimum": 2},
-                "refine_level": {"type": "integer", "minimum": 0},
-            },
-        },
-        "hurst": {
-            "oneOf": [_HURST_ITEM, {"type": "array", "items": _HURST_ITEM, "minItems": 1}]
-        },
+# Per section ("" is the top level): its required keys and a rule for each key it
+# admits. A rule is (kind, *args): "string"; "number" or "integer" with (op, limit)
+# bounds, each open (">", "<") or closed (">=", "<="); "list", non-empty, of an
+# item rule; "pair", a box row [lo, hi]; "one or list" of a rule; "section" by name.
+FIELDS = {
+    "": (("model", "grid", "hurst"), {
+        "model": ("section", "model"),
+        "grid": ("section", "grid"),
+        "hurst": ("one or list", _HURST),
         "epsilon": _EPSILON,
-        "optimizer": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "n_starts": {"type": "integer", "minimum": 1},
-                "grad_tol": {"type": "number", "exclusiveMinimum": 0.0},
-                "max_iter": {"type": "integer", "minimum": 1},
-                "boundary_tol": {"type": "number", "exclusiveMinimum": 0.0},
-            },
-        },
-        "study": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["epsilons", "n_replicates"],
-            "properties": {
-                "epsilons": {"type": "array", "items": _EPSILON, "minItems": 1},
-                "n_replicates": {"type": "integer", "minimum": 2},
-                "gamma_refine": {"type": "integer", "minimum": 1},
-            },
-        },
-        "output": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {"dir": {"type": "string"}},
-        },
-        "seed": {"type": "integer", "minimum": 0},
-    },
+        "optimizer": ("section", "optimizer"),
+        "study": ("section", "study"),
+        "output": ("section", "output"),
+        "seed": ("integer", ">=", 0),
+    }),
+    "model": (("name",), {
+        "name": ("string",), "theta0": _NUMBERS, "x0": _NUMBERS,
+        "theta_domain": ("list", ("pair",)),
+    }),
+    "grid": (("T", "n_coarse"), {
+        "T": _POSITIVE, "n_coarse": ("integer", ">=", 2), "refine_level": ("integer", ">=", 0),
+    }),
+    "optimizer": ((), {
+        "n_starts": ("integer", ">=", 1), "grad_tol": _POSITIVE,
+        "max_iter": ("integer", ">=", 1), "boundary_tol": _POSITIVE,
+    }),
+    "study": (("epsilons", "n_replicates"), {
+        "epsilons": ("list", _EPSILON), "n_replicates": ("integer", ">=", 2),
+        "gamma_refine": ("integer", ">=", 1),
+    }),
+    "output": ((), {"dir": ("string",)}),
 }
 
-
-def _cast_integers(doc: dict, schema: dict) -> None:
-    """Cast each field the schema types as integer to int; the schema also admits 5.0."""
-    for key, sub in schema.get("properties", {}).items():
-        if key in doc and sub.get("type") == "integer":
-            doc[key] = int(doc[key])
-        elif key in doc and sub.get("type") == "object":
-            _cast_integers(doc[key], sub)
+_OPS = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": operator.le}
 
 
-# jsonschema.validate less its per-call check of SCHEMA against the metaschema,
-# which a test makes once
-_VALIDATOR = jsonschema.validators.validator_for(SCHEMA)(SCHEMA)
+def _check(value, rule: tuple, path: tuple):
+    """`value` checked against `rule`, with each integral float in an integer field
+    cast to int; the first failure raises ConfigError naming the field's dotted path."""
+    kind, *args = rule
+
+    def fail(message):
+        raise ConfigError(f"config field {'.'.join(path) or '(top level)'}: {message}")
+
+    if kind == "one or list":
+        return _check(value, ("list", *args) if isinstance(value, list) else args[0], path)
+    if kind == "section":
+        if not isinstance(value, dict):
+            fail(f"expected an object, got {value!r}")
+        required, rules = FIELDS[args[0]]
+        for key in value:
+            if key not in rules:
+                fail(f"unknown key {key!r}")
+        for key in required:
+            if key not in value:
+                fail(f"missing required key {key!r}")
+        return {key: _check(v, rules[key], (*path, key)) for key, v in value.items()}
+    if kind in ("list", "pair"):
+        if not isinstance(value, list) or (len(value) != 2 if kind == "pair" else not value):
+            what = "a [lo, hi] pair" if kind == "pair" else "a non-empty list"
+            fail(f"expected {what}, got {value!r}")
+        item = args[0] if kind == "list" else ("number",)
+        return [_check(v, item, (*path, str(i))) for i, v in enumerate(value)]
+    if kind == "string":
+        if not isinstance(value, str):
+            fail(f"expected a string, got {value!r}")
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        fail(f"expected {'an integer' if kind == 'integer' else 'a number'}, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        fail(f"expected a finite number, got {value!r}")
+    if kind == "integer" and isinstance(value, float) and not value.is_integer():
+        fail(f"expected an integer, got {value!r}")
+    for op, limit in zip(args[::2], args[1::2]):
+        if not _OPS[op](value, limit):
+            fail(f"expected a value {op} {limit}, got {value!r}")
+    return int(value) if kind == "integer" else value
 
 
 def validate_config(doc: dict) -> dict:
-    exc = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(doc))
-    if exc is not None:
-        path = ".".join(str(p) for p in exc.absolute_path) or "(top level)"
-        raise ConfigError(f"config field {path}: {exc.message}")
-    _cast_integers(doc, SCHEMA)
-    return doc
+    """The document checked against FIELDS, with integral floats in integer fields
+    cast to int; a failure raises ConfigError naming the field."""
+    return _check(doc, ("section", ""), ())
 
 
 def load_config(path) -> dict:
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
+    if not path.is_file():
+        raise ConfigError(f"config {'path is not a file' if path.exists() else 'file not found'}: {path}")
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
+    except (OSError, UnicodeDecodeError, RecursionError) as exc:
+        raise ConfigError(f"config file {path} cannot be read: {exc}") from None
     return validate_config(doc)
 
 

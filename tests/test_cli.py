@@ -1,13 +1,33 @@
+import copy
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import die_in_worker
+
+# a JSON Schema for config documents: the tests' reference for which documents the
+# config check accepts and which field it names
+SCHEMA = json.loads((Path(__file__).parent / "config_schema.json").read_text())
+# jsonschema.validate(doc, SCHEMA) less its check of SCHEMA against the metaschema,
+# which test_schema_passes_its_metaschema makes once
+ORACLE = jsonschema.validators.validator_for(SCHEMA)(SCHEMA)
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+LINEAR_DOC = {
+    "model": {"name": "linear1d", "theta0": [1.0], "x0": [1.0]},
+    "grid": {"T": 1.0, "n_coarse": 128, "refine_level": 0},
+    "hurst": 0.4,
+    "epsilon": 0.1,
+}
 
 
 def run_cli(*args, env=None):
@@ -18,12 +38,7 @@ def run_cli(*args, env=None):
 
 @pytest.fixture()
 def linear_config(tmp_path):
-    doc = {
-        "model": {"name": "linear1d", "theta0": [1.0], "x0": [1.0]},
-        "grid": {"T": 1.0, "n_coarse": 128, "refine_level": 0},
-        "hurst": 0.4,
-        "epsilon": 0.1,
-    }
+    doc = copy.deepcopy(LINEAR_DOC)
     path = tmp_path / "linear1d.json"
     path.write_text(json.dumps(doc))
     return path, doc
@@ -388,7 +403,7 @@ def test_negative_config_seed_is_validation_error(tmp_path, linear_config):
 def test_integer_option_written_as_float_runs_as_the_integer(
     tmp_path, linear_config, command, section, key, value
 ):
-    # the schema admits 5.0 where it types an integer; such a config runs as 5 does
+    # the config check admits 5.0 in an integer field; such a config runs as 5 does
     _, doc = linear_config
     seed = ("--seed", "11") if command == "estimate" else ()
     outputs = []
@@ -402,7 +417,7 @@ def test_integer_option_written_as_float_runs_as_the_integer(
 
 
 def test_validate_config_casts_every_integer_field(linear_config):
-    from fracmle.config import SCHEMA, validate_config
+    from fracmle.config import FIELDS, validate_config
 
     _, doc = linear_config
     doc = dict(
@@ -413,23 +428,19 @@ def test_validate_config_casts_every_integer_field(linear_config):
         seed=7.0,
     )
     doc = validate_config(doc)
-    fields = [("seed", None)] + [
+    fields = [
         (section, key)
-        for section, sub in SCHEMA["properties"].items()
-        for key, spec in sub.get("properties", {}).items()
-        if spec.get("type") == "integer"
+        for section, (_, rules) in FIELDS.items()
+        for key, rule in rules.items()
+        if rule[0] == "integer"
     ]
     assert len(fields) == 7
     for section, key in fields:
-        value = doc[section] if key is None else doc[section][key]
+        value = doc[key] if section == "" else doc[section][key]
         assert type(value) is int, (section, key)
 
 
 def test_schema_passes_its_metaschema():
-    import jsonschema
-
-    from fracmle.config import SCHEMA
-
     jsonschema.validators.validator_for(SCHEMA).check_schema(SCHEMA)
 
 
@@ -437,50 +448,187 @@ def _drop(doc, key):
     return {k: v for k, v in doc.items() if k != key}
 
 
+def _field(exc):
+    return ".".join(str(p) for p in exc.absolute_path) or "(top level)"
+
+
 @pytest.mark.parametrize(
     "bad",
     [
-        lambda doc: dict(doc, extra=1),
-        lambda doc: _drop(doc, "grid"),
-        lambda doc: dict(doc, grid={"T": 1.0, "n_coarse": "128"}),
-        lambda doc: dict(doc, grid={"T": 1.0, "n_coarse": 1}),
-        lambda doc: dict(doc, hurst=0.5),
-        lambda doc: dict(doc, hurst=[0.4, 0.6]),
-        lambda doc: dict(doc, epsilon=0),
-        lambda doc: dict(doc, study={"n_replicates": 10}),
-        lambda doc: dict(doc, model={"name": "linear1d", "theta_domain": [[0.1, 1.0, 2.0]]}),
+        lambda doc: (dict(doc, extra=1), "(top level): unknown key 'extra'"),
+        lambda doc: (_drop(doc, "grid"), "(top level): missing required key 'grid'"),
+        lambda doc: (
+            dict(doc, grid={"T": 1.0, "n_coarse": "128"}),
+            "grid.n_coarse: expected an integer, got '128'",
+        ),
+        lambda doc: (
+            dict(doc, grid={"T": 1.0, "n_coarse": 1}),
+            "grid.n_coarse: expected a value >= 2, got 1",
+        ),
+        lambda doc: (dict(doc, hurst=0.5), "hurst: expected a value < 0.5, got 0.5"),
+        lambda doc: (dict(doc, hurst=[0.4, 0.6]), "hurst.1: expected a value < 0.5, got 0.6"),
+        lambda doc: (dict(doc, epsilon=0), "epsilon: expected a value > 0.0, got 0"),
+        lambda doc: (
+            dict(doc, study={"n_replicates": 10}),
+            "study: missing required key 'epsilons'",
+        ),
+        lambda doc: (
+            dict(doc, model={"name": "linear1d", "theta_domain": [[0.1, 1.0, 2.0]]}),
+            "model.theta_domain.0: expected a [lo, hi] pair, got [0.1, 1.0, 2.0]",
+        ),
     ],
 )
 def test_validate_config_error_is_jsonschema_validate_error(linear_config, bad):
-    import jsonschema
-
+    # the wording is the package's own; the field it names is the one
+    # jsonschema.validate names for the same document
     from fracmle import ConfigError
-    from fracmle.config import SCHEMA, validate_config
+    from fracmle.config import validate_config
 
-    doc = bad(linear_config[1])
+    doc, message = bad(linear_config[1])
     with pytest.raises(jsonschema.ValidationError) as want:
         jsonschema.validate(doc, SCHEMA)
-    path = ".".join(str(p) for p in want.value.absolute_path) or "(top level)"
     with pytest.raises(ConfigError) as got:
         validate_config(doc)
-    assert str(got.value) == f"config field {path}: {want.value.message}"
+    assert str(got.value) == f"config field {message}"
+    assert message.startswith(f"{_field(want.value)}: ")
 
 
-def test_load_config_does_not_check_the_schema(linear_config, monkeypatch):
-    import jsonschema
+def _sites(schema, doc, path=()):
+    """(path, subschema) for each key the schema admits in each object of `doc`,
+    present or not, for each item of each list in `doc`, and an unknown key in
+    each object."""
+    sites = [(path + ("unknown",), {})] if schema.get("type") == "object" else []
+    for node in schema.get("oneOf", [schema]):
+        for key, sub in node.get("properties", {}).items():
+            value = doc.get(key, {}) if isinstance(doc, dict) else {}
+            sites += [(path + (key,), sub)] + _sites(sub, value, path + (key,))
+        if isinstance(doc, list) and "items" in node:
+            for i, item in enumerate(doc):
+                sites += [(path + (i,), node["items"])] + _sites(node["items"], item, path + (i,))
+    return sites
 
-    from fracmle.config import SCHEMA, load_config
 
-    def check_schema(*args, **kwargs):
-        raise AssertionError("SCHEMA checked again")
+def _edges(node):
+    """Values at, just inside and just outside each bound of `node` or its branches."""
+    values = []
+    for sub in [node, *node.get("oneOf", [])]:
+        for bound in ("minimum", "exclusiveMinimum", "maximum", "exclusiveMaximum"):
+            if bound in sub:
+                b = sub[bound]
+                values += [b, math.nextafter(b, -math.inf), math.nextafter(b, math.inf)]
+                if sub["type"] == "integer":
+                    values += [b - 1, b + 1, float(b - 1), float(b)]
+    return values
 
-    monkeypatch.setattr(jsonschema.validators.validator_for(SCHEMA), "check_schema", check_schema)
-    assert load_config(linear_config[0]) == linear_config[1]
+
+# no list here holds more than one item, so each mutation puts a single fault in
+# the document and the field to name is unique: among sibling faults jsonschema
+# names the last, or the first inside oneOf, and the config check the first
+_VALUES = [
+    True, False, None, "x", 0, 7, -1, 2.5, [], {}, [0.4], [True], ["x"],
+    [[0.1, 5.0]], [[0.1]], [[0.1, 5.0, 6.0]], [["x", 1.0]], {"name": "linear1d"},
+    math.nan, math.inf, -math.inf,
+]
+_DROP = object()
+_BASES = [json.loads(p.read_text()) for p in sorted(CONFIGS.glob("*.json"))] + [LINEAR_DOC]
 
 
-def test_missing_config_file():
-    res = run_cli("estimate", "--config", "/nonexistent/cfg.json", "--seed", "1")
-    assert res.returncode == 2
+def _mutate(base, path, value):
+    """A copy of `base` with the key or item at `path` dropped (value _DROP) or set,
+    making any missing section on the way."""
+    doc = copy.deepcopy(base)
+    parent = doc
+    for part in path[:-1]:
+        parent = parent.setdefault(part, {}) if isinstance(parent, dict) else parent[part]
+    if value is not _DROP:
+        parent[path[-1]] = value
+    elif isinstance(parent, list) or path[-1] in parent:
+        del parent[path[-1]]
+    return doc
+
+
+def _cast_integers(doc, schema):
+    """Each field the schema types as integer cast to int, as the config check casts."""
+    if schema.get("type") == "integer":
+        return int(doc)
+    if schema.get("type") == "object":
+        return {k: _cast_integers(v, schema["properties"][k]) for k, v in doc.items()}
+    return doc
+
+
+def _assert_agrees_with_oracle(doc):
+    # on a finite document validate_config agrees with jsonschema.validate on
+    # whether to reject and on the field named, and returns what it accepts cast to
+    # int where the schema types an integer; a non-finite number is always rejected
+    from fracmle import ConfigError
+    from fracmle.config import validate_config
+
+    try:
+        json.dumps(doc, allow_nan=False)
+    except ValueError:
+        with pytest.raises(ConfigError):
+            validate_config(copy.deepcopy(doc))
+        return
+    exc = jsonschema.exceptions.best_match(ORACLE.iter_errors(doc))
+    if exc is not None:
+        with pytest.raises(ConfigError, match=f"^config field {re.escape(_field(exc))}: "):
+            validate_config(copy.deepcopy(doc))
+    else:
+        want = json.dumps(_cast_integers(doc, SCHEMA))
+        assert json.dumps(validate_config(copy.deepcopy(doc))) == want
+
+
+def test_validate_config_agrees_with_jsonschema_on_every_single_mutation():
+    # each base document with one key dropped or one value set: an unknown key,
+    # another type, a value at or just inside or outside a bound, a boolean, an
+    # empty list, a non-finite number
+    count = 0
+    for base in _BASES:
+        for path, node in _sites(SCHEMA, base):
+            for value in [_DROP] + _edges(node) + _VALUES:
+                _assert_agrees_with_oracle(_mutate(base, path, value))
+                count += 1
+    assert count > 3000
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_validate_config_agrees_with_jsonschema_on_any_number(data):
+    base = data.draw(st.sampled_from(_BASES))
+    path, _ = data.draw(st.sampled_from(_sites(SCHEMA, base)))
+    value = data.draw(st.floats(allow_nan=False) | st.integers())
+    _assert_agrees_with_oracle(_mutate(base, path, value))
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity"])
+@pytest.mark.parametrize("field", ["optimizer.boundary_tol", "epsilon", "grid.T", "model.x0"])
+def test_non_finite_number_is_validation_error(tmp_path, linear_config, field, literal):
+    # json.loads reads NaN and Infinity as floats; the config check must refuse them
+    _, doc = linear_config
+    value = {"NaN": math.nan, "Infinity": math.inf}[literal]
+    *section, key = field.split(".")
+    target = doc.setdefault(section[0], {}) if section else doc
+    target[key] = [value] if key == "x0" else value
+    cfg = _write(tmp_path, doc)
+    assert literal in cfg.read_text()
+    res = run_cli("estimate", "--config", str(cfg), "--seed", "7")
+    assert res.returncode == 2, res.stdout + res.stderr
+    assert f"config field {field}" in res.stderr and "finite" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+def test_missing_config_file(tmp_path):
+    # a missing path, a directory, a file that is not UTF-8, and JSON nested
+    # deeper than the parser's recursion limit
+    not_utf8 = tmp_path / "latin1.json"
+    not_utf8.write_bytes(b'{"model": {"name": "lin\xe9ar1d"}}')
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    for path in ("/nonexistent/cfg.json", tmp_path, not_utf8, deep):
+        res = run_cli("estimate", "--config", str(path), "--seed", "1")
+        assert res.returncode == 2, res.stderr
+        assert res.stderr.startswith("error: config ") and str(path) in res.stderr
+        assert "Traceback" not in res.stderr
 
 
 def test_selftest_passes():
@@ -505,16 +653,17 @@ def test_probe_section_is_validation_error(tmp_path, linear_config):
 
 
 def test_cli_import_leaves_out_heavy_scipy_modules(linear_config):
-    # module presence, not wall-clock time: SciPy is a test dependency only, so no
-    # scipy module loads on import or in the gamma and estimate commands
+    # module presence, not wall-clock time: SciPy and jsonschema are test
+    # dependencies only, so neither loads on import or in the gamma and estimate commands
     cfg, _ = linear_config
     probe = (
         "import sys, fracmle.cli as cli\n"
-        "def scipy_loaded(): return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-        "print(scipy_loaded())\n"
+        "def heavy_loaded(): return sorted(m for m in sys.modules\n"
+        "                                  if m.split('.')[0] in ('scipy', 'jsonschema'))\n"
+        "print(heavy_loaded())\n"
         f"codes = [cli.main([cmd, '--config', {str(cfg)!r}, '--seed', '1'])\n"
         "         for cmd in ('gamma', 'estimate')]\n"
-        "print(codes, scipy_loaded())\n"
+        "print(codes, heavy_loaded())\n"
     )
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
     lines = out.stdout.strip().split("\n")
@@ -524,19 +673,19 @@ def test_cli_import_leaves_out_heavy_scipy_modules(linear_config):
 
 def test_study_leaves_out_scipy_stats():
     # 30 successes per epsilon, so the study computes skewness and kurtosis; no
-    # scipy module at all may load for them
+    # scipy module at all may load for them, and no jsonschema module for the study
     probe = (
         "import math, sys; from fracmle import StudyConfig, run_study; "
         "s = run_study(StudyConfig(model='linear1d', theta0=(1.0,), x0=(1.0,), hurst=(0.4,), "
         "epsilons=(0.1,), n_replicates=30, n_coarse=64, seed=3, n_jobs=1)).per_eps[0]; "
         "print(s.n_ok, math.isfinite(s.skewness[0]), "
-        "any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+        "any(m.split('.')[0] in ('scipy', 'jsonschema') for m in sys.modules))"
     )
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
     assert out.stdout.split() == ["30", "True", "False"]
 
 
-@pytest.mark.parametrize("kind", ["two_columns", "t_only", "nan", "ragged", "text"])
+@pytest.mark.parametrize("kind", ["two_columns", "t_only", "nan", "ragged", "text", "directory"])
 def test_estimate_malformed_trajectory_file_is_typed_error(tmp_path, linear_config, kind):
     cfg, _ = linear_config
     nodes = [repr(t) for t in np.linspace(0.0, 1.0, 129).tolist()]
@@ -546,11 +695,15 @@ def test_estimate_malformed_trajectory_file_is_typed_error(tmp_path, linear_conf
         "nan": [f"{t},nan" for t in nodes],
         "ragged": [f"{t},1.0" + (",2.0" if k == 3 else "") for k, t in enumerate(nodes)],
         "text": [f"{t},abc" for t in nodes],
+        "directory": None,
     }[kind]
     bad = tmp_path / f"{kind}.csv"
-    bad.write_text("\n".join(["t,X1"] + rows) + "\n")
+    if rows is None:
+        bad.mkdir()  # no trajectory file at that path: a validation error
+    else:
+        bad.write_text("\n".join(["t,X1"] + rows) + "\n")
     res = run_cli("estimate", "--config", str(cfg), "--trajectory", str(bad))
-    assert res.returncode == 1
-    assert res.stderr.startswith("error: InputError")
+    assert res.returncode == (2 if rows is None else 1)
+    assert res.stderr.startswith("error: trajectory file" if rows is None else "error: InputError")
     assert "Traceback" not in res.stderr
     assert ("state columns" if kind in ("two_columns", "t_only") else bad.name) in res.stderr
